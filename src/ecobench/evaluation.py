@@ -125,16 +125,22 @@ def _fit_svm(train: Dataset, seed: int, params: dict):
     return fit_svm_multiclass(train, **params)
 
 
+def _per_row(predict_one):
+    """Matrix predictor from a one-row predictor, for models without a batch path."""
+    def predict_rows(model, features: np.ndarray) -> np.ndarray:
+        return np.array([predict_one(model, x) for x in features], dtype=np.int64)
+    return predict_rows
+
+
 @dataclass(frozen=True)
 class AlgorithmAdapter:
     name: str
     fit: object
-    predict_one: object
+    predict_rows: object  # (model, (m, p) matrix) -> (m,) labels
     param_names: tuple[str, ...]
 
     def predict(self, model, features: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(model, x) for x in np.atleast_2d(features)],
-                        dtype=np.int64)
+        return self.predict_rows(model, np.atleast_2d(features))
 
 
 _REGISTRY = {
@@ -153,37 +159,37 @@ _REGISTRY = {
     "ANN": AlgorithmAdapter(
         "ANN",
         lambda train, seed, p: fit_mlp(train, seed=seed, **p)[0],
-        predict_mlp,
+        _per_row(predict_mlp),
         ("q", "epochs", "learning_rate", "init_scale"),
     ),
     "SVM": AlgorithmAdapter(
         "SVM",
         _fit_svm,
-        predict_svm,
+        _per_row(predict_svm),
         ("cost", "tol", "kernel", "gamma"),
     ),
     "LDA": AlgorithmAdapter(
         "LDA",
         lambda train, seed, p: fit_lda(train),
-        predict_lda,
+        _per_row(predict_lda),
         (),
     ),
     "KNN": AlgorithmAdapter(
         "KNN",
         lambda train, seed, p: fit_knn(train, **p),
-        knn_predict,
+        _per_row(knn_predict),
         ("k",),
     ),
     "LR": AlgorithmAdapter(
         "LR",
         lambda train, seed, p: fit_logistic(train, **p),
-        predict_logistic,
+        _per_row(predict_logistic),
         ("learning_rate", "max_iter", "tolerance"),
     ),
     "NB": AlgorithmAdapter(
         "NB",
         lambda train, seed, p: fit_naive_bayes(train),
-        predict_nb,
+        _per_row(predict_nb),
         (),
     ),
 }
@@ -273,7 +279,7 @@ def run_process(
         cm = confusion_matrix(actual, predicted, ds.n_classes)
         agg = macro_aggregate(cm)
         found = measures(agg)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError, RecursionError) as exc:
         wall_ms = (time.perf_counter() - start) * 1000.0
         return ReportRow(algorithm.name, kind.name, None, None, wall_ms, seed, error=str(exc))
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -178,7 +178,7 @@ def _best_split(features, onehot, candidates, criterion):
 
 
 class _TreeBuilder:
-    """Recursive grower shared by single trees and forest members."""
+    """Stack-based grower shared by single trees and forest members."""
 
     def __init__(self, features, labels, n_classes, criterion, max_depth,
                  min_samples_split, m_try=None, rng=None):
@@ -195,12 +195,37 @@ class _TreeBuilder:
         self.importance = np.zeros(self.n_features)
 
     def grow(self) -> TreeNode:
-        return self._grow(np.arange(self.n_total), depth=0)
+        """Split nodes in pre-order, left subtree before right, from an explicit
+        stack, so a deep tree needs no recursion and the rng draws and importance
+        sums happen in a fixed order; then build the frozen nodes bottom-up."""
+        preorder = []
+        stack = [(np.arange(self.n_total), 0)]
+        while stack:
+            indices, depth = stack.pop()
+            split = self._split(indices, depth)
+            if isinstance(split, TreeNode):
+                preorder.append(split)
+                continue
+            feature, threshold, go_left = split
+            preorder.append((feature, threshold))
+            stack.append((indices[~go_left], depth + 1))
+            stack.append((indices[go_left], depth + 1))
+        # in reversed pre-order both subtrees of a split are built before it,
+        # its left child on top of the stack
+        built = []
+        for entry in reversed(preorder):
+            if not isinstance(entry, TreeNode):
+                left = built.pop()
+                right = built.pop()
+                entry = TreeNode(feature_index=entry[0], threshold=entry[1], left=left, right=right)
+            built.append(entry)
+        return built.pop()
 
     def _leaf(self, counts, n) -> TreeNode:
         return TreeNode(class_index=int(np.argmax(counts)), class_distribution=counts / n)
 
-    def _grow(self, indices, depth) -> TreeNode:
+    def _split(self, indices, depth):
+        """A leaf for these rows, or their best (feature, threshold, go-left mask)."""
         labels = self.labels[indices]
         n = indices.size
         counts = np.bincount(labels, minlength=self.n_classes).astype(np.float64)
@@ -228,10 +253,7 @@ class _TreeBuilder:
 
         decrease, feature, threshold = best
         self.importance[feature] += (n / self.n_total) * max(decrease, 0.0)
-        go_left = features[:, feature] <= threshold
-        left = self._grow(indices[go_left], depth + 1)
-        right = self._grow(indices[~go_left], depth + 1)
-        return TreeNode(feature_index=feature, threshold=threshold, left=left, right=right)
+        return feature, threshold, features[:, feature] <= threshold
 
 
 def fit_decision_tree(
@@ -263,15 +285,39 @@ def fit_decision_tree(
     )
 
 
-def predict_tree(model: DecisionTreeModel, x) -> int:
-    """Route x down the tree; values equal to a threshold go left."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature values, got {x.size}")
-    node = model.root
-    while not node.is_leaf:
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return int(node.class_index)
+def _as_rows(x, n_features: int) -> tuple[np.ndarray, bool]:
+    """(m, p) float matrix from one row or an (m, p) matrix, and whether x was one row."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim < 2
+    rows = x.reshape(1, -1) if single else x
+    if rows.ndim != 2 or rows.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} feature values, got {rows.shape[-1]}")
+    return rows, single
+
+
+def _route(root: TreeNode, rows: np.ndarray) -> np.ndarray:
+    """Leaf class of every row of an (m, p) matrix: each node splits its whole
+    block of rows at once; values equal to a threshold go left, NaN goes right."""
+    labels = np.empty(rows.shape[0], dtype=np.int64)
+    stack = [(root, np.arange(rows.shape[0]))]
+    while stack:
+        node, at = stack.pop()
+        if node.is_leaf:
+            labels[at] = node.class_index
+            continue
+        go_left = rows[at, node.feature_index] <= node.threshold
+        for child, block in ((node.left, at[go_left]), (node.right, at[~go_left])):
+            if block.size:
+                stack.append((child, block))
+    return labels
+
+
+def predict_tree(model: DecisionTreeModel, x):
+    """Class index of one row (an int), or of each row of an (m, p) matrix (an
+    (m,) array); values equal to a threshold go left, NaN goes right."""
+    rows, single = _as_rows(x, model.n_features)
+    labels = _route(model.root, rows)
+    return int(labels[0]) if single else labels
 
 
 def fit_random_forest(
@@ -340,20 +386,30 @@ def fit_random_forest(
     )
 
 
-def forest_votes(model: ForestModel, x) -> np.ndarray:
-    """Per-class vote counts over the forest's trees for one input."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature values, got {x.size}")
-    votes = np.zeros(model.n_classes, dtype=np.int64)
+def _staged_votes(model: ForestModel, rows: np.ndarray):
+    """The (m, n_classes) vote tally after each tree in turn, updated in place."""
+    votes = np.zeros((rows.shape[0], model.n_classes), dtype=np.int64)
+    at = np.arange(rows.shape[0])
     for tree in model.trees:
-        votes[predict_tree(tree, x)] += 1
-    return votes
+        votes[at, _route(tree.root, rows)] += 1
+        yield votes
 
 
-def predict_forest(model: ForestModel, x) -> int:
-    """Majority vote over the trees; ties go to the lowest class index."""
-    return int(np.argmax(forest_votes(model, x)))
+def forest_votes(model: ForestModel, x) -> np.ndarray:
+    """Per-class vote counts over the forest's trees: (n_classes,) for one row,
+    (m, n_classes) for an (m, p) matrix."""
+    rows, single = _as_rows(x, model.n_features)
+    for votes in _staged_votes(model, rows):
+        pass
+    return votes[0] if single else votes
+
+
+def predict_forest(model: ForestModel, x):
+    """Majority vote over the trees, for one row (an int) or each row of an
+    (m, p) matrix (an (m,) array); ties go to the lowest class index."""
+    votes = forest_votes(model, x)
+    labels = np.argmax(votes, axis=-1)
+    return int(labels) if votes.ndim == 1 else labels
 
 
 def forest_error_trace(model: ForestModel, train: Dataset, holdout: Dataset | None = None) -> str:
@@ -362,16 +418,11 @@ def forest_error_trace(model: ForestModel, train: Dataset, holdout: Dataset | No
     held-out dataset is supplied."""
 
     def staged_errors(ds: Dataset) -> np.ndarray:
-        per_tree = np.array(
-            [[predict_tree(tree, x) for x in ds.features] for tree in model.trees]
-        )
-        tallies = np.zeros((ds.n_samples, model.n_classes), dtype=np.int64)
-        errors = np.empty(model.n_trees)
-        for t in range(model.n_trees):
-            np.add.at(tallies, (np.arange(ds.n_samples), per_tree[t]), 1)
-            staged = np.argmax(tallies, axis=1)
-            errors[t] = float(np.mean(staged != ds.labels))
-        return errors
+        rows, _ = _as_rows(ds.features, model.n_features)
+        return np.array([
+            float(np.mean(np.argmax(votes, axis=1) != ds.labels))
+            for votes in _staged_votes(model, rows)
+        ])
 
     resub = staged_errors(train)
     held = staged_errors(holdout) if holdout is not None else None

@@ -153,6 +153,20 @@ def test_fit_predict_round_trip_recovers_labels(tmp_path, capsys):
     assert predicted == expected
 
 
+def test_fit_too_deep_to_save_exits_cleanly(tmp_path, capsys):
+    # the 1499-deep tree fits, but saving it nests deeper than Python recurses
+    n = 1500
+    ds = Dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2, ("x",), ("A", "B"))
+    path = tmp_path / "deep.csv"
+    save_csv(ds, path, label_column="sediment")
+    rc = entry(["fit", "--data", str(path), "--algorithm", "dt",
+                "--out", str(tmp_path / "dt.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "recursion" in err
+    assert "Traceback" not in err
+
+
 def test_fit_svm_prints_parameter_summary(tmp_path, capsys):
     data = _gen(tmp_path)
     rc = entry(

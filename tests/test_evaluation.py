@@ -12,6 +12,7 @@ from ecobench import (
     AlgorithmSpec,
     BenchmarkReport,
     BinaryAggregates,
+    Dataset,
     MeasureSet,
     ProcessKind,
     ReportRow,
@@ -128,6 +129,15 @@ def test_failing_cell_becomes_error_row():
     assert not row.ok
     assert row.measures is None
     assert "min_samples_split" in row.error
+
+
+def test_deep_tree_cell_is_an_ok_row():
+    # alternating labels on one feature grow a 1499-deep chain of splits
+    n = 1500
+    ds = Dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2, ("x",), ("A", "B"))
+    row = run_process(ds, make_algorithm("DT"), PROCESS_RESUBSTITUTION, seed=1)
+    assert row.ok, row.error
+    assert row.measures.accuracy == 1.0
 
 
 def test_run_benchmark_layout_and_summary():

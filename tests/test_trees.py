@@ -157,6 +157,11 @@ def test_tree_fit_validation():
     model = fit_decision_tree(ds)
     with pytest.raises(ValueError, match="expected 4 feature values"):
         predict_tree(model, [1.0, 2.0])
+    with pytest.raises(ValueError, match="expected 4 feature values, got 3"):
+        predict_tree(model, np.zeros((5, 3)))
+    forest = fit_random_forest(ds, n_trees=2)
+    with pytest.raises(ValueError, match="expected 4 feature values, got 5"):
+        predict_forest(forest, np.zeros((2, 5)))
 
 
 def test_forest_prediction_is_the_vote_mode():
@@ -169,6 +174,74 @@ def test_forest_prediction_is_the_vote_mode():
         per_tree = [predict_tree(tree, x) for tree in model.trees]
         expected = np.argmax(np.bincount(per_tree, minlength=ds.n_classes))
         assert predict_forest(model, x) == expected
+
+
+def _oracle_leaf(root, x, equal_hits):
+    """Reference walk of one row from the root; counts rows landing exactly on a threshold."""
+    node = root
+    while not node.is_leaf:
+        equal_hits[0] += x[node.feature_index] == node.threshold
+        node = node.left if x[node.feature_index] <= node.threshold else node.right
+    return node.class_index
+
+
+def _probe_rows(models, p, rng):
+    """Random rows, rows set exactly to node thresholds, and rows with NaN cells."""
+    thresholds = [[] for _ in range(p)]
+    stack = [tree.root for tree in models]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            thresholds[node.feature_index].append(node.threshold)
+            stack += (node.left, node.right)
+    plain = rng.normal(0.0, 4.0, size=(40, p))
+    exact = plain.copy()
+    for f in range(p):
+        if thresholds[f]:
+            exact[:, f] = rng.choice(thresholds[f], size=exact.shape[0])
+    holes = plain.copy()
+    holes[rng.random(holes.shape) < 0.3] = np.nan
+    return np.vstack([plain, exact, holes])
+
+
+def test_batch_tree_labels_equal_per_row_walk():
+    rng = np.random.default_rng(7)
+    hits = [0]
+    for seed in range(4):
+        ds = _blob_dataset(200 + seed, gap=1.5)
+        for criterion in ("entropy", "gini"):
+            model = fit_decision_tree(ds, criterion=criterion)
+            rows = _probe_rows([model], ds.n_features, rng)
+            expected = [_oracle_leaf(model.root, x, hits) for x in rows]
+            labels = predict_tree(model, rows)
+            assert labels.shape == (rows.shape[0],)
+            assert labels.tolist() == expected
+            assert predict_tree(model, rows[:1]).tolist() == expected[:1]
+            assert [predict_tree(model, x) for x in rows] == expected
+    assert hits[0] > 0
+
+
+def test_batch_forest_labels_equal_per_row_vote():
+    rng = np.random.default_rng(11)
+    hits, ties = [0], 0
+    for seed in range(3):
+        ds = _blob_dataset(300 + seed, gap=1.0)
+        model = fit_random_forest(ds, n_trees=8, seed=seed)
+        rows = _probe_rows(model.trees, ds.n_features, rng)
+        expected_votes, expected = [], []
+        for x in rows:
+            votes = np.zeros(ds.n_classes, dtype=np.int64)
+            for tree in model.trees:
+                votes[_oracle_leaf(tree.root, x, hits)] += 1
+            top = [c for c in range(ds.n_classes) if votes[c] == votes.max()]
+            ties += len(top) > 1
+            expected_votes.append(votes)
+            expected.append(top[0])
+        assert np.array_equal(forest_votes(model, rows), expected_votes)
+        assert predict_forest(model, rows).tolist() == expected
+        assert predict_forest(model, rows[:1]).tolist() == expected[:1]
+        assert [predict_forest(model, x) for x in rows] == expected
+    assert hits[0] > 0 and ties > 0
 
 
 def test_forest_seed_determinism():
@@ -225,6 +298,31 @@ def test_forest_error_trace_format():
         assert 0.0 <= float(held) <= 1.0
     resub_only = forest_error_trace(model, ds)
     assert resub_only.strip().splitlines()[0] == "n_trees,resubstitution_error"
+
+
+def test_forest_error_trace_matches_per_row_oracle():
+    ds = _blob_dataset(103, n_per=10, gap=1.0)
+    hold = _blob_dataset(107, n_per=6, gap=1.0)
+    model = fit_random_forest(ds, n_trees=9, seed=4)
+
+    def staged(data):
+        tallies = np.zeros((data.n_samples, model.n_classes), dtype=np.int64)
+        errors = []
+        for tree in model.trees:
+            for i, x in enumerate(data.features):
+                tallies[i, _oracle_leaf(tree.root, x, [0])] += 1
+            errors.append(float(np.mean(np.argmax(tallies, axis=1) != data.labels)))
+        return errors
+
+    resub, held = staged(ds), staged(hold)
+    with_holdout = "n_trees,resubstitution_error,holdout_error\r\n" + "".join(
+        f"{t + 1},{resub[t]:.10g},{held[t]:.10g}\r\n" for t in range(model.n_trees)
+    )
+    resub_only = "n_trees,resubstitution_error\r\n" + "".join(
+        f"{t + 1},{resub[t]:.10g}\r\n" for t in range(model.n_trees)
+    )
+    assert forest_error_trace(model, ds, hold) == with_holdout
+    assert forest_error_trace(model, ds) == resub_only
 
 
 def test_forest_validation():
