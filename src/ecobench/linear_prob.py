@@ -197,20 +197,34 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _logistic_kernel(w, design, onehot, picked):
+    """Mean cross-entropy and its gradient from the `[1 | X]` design matrix,
+    the one-hot labels and the (row, label) index of each row's true class;
+    the pinned last row's gradient is 0."""
+    n = design.shape[0]
+    probs = _softmax_rows(design @ w.T)
+    loss = float(-np.mean(np.log(probs[picked] + 1e-300)))
+    grad = (probs - onehot).T @ design / n
+    grad[-1] = 0.0
+    return loss, grad
+
+
+def _logistic_inputs(features, labels, n_classes):
+    """The weight-independent inputs of `_logistic_kernel`, built once per fit."""
+    n = features.shape[0]
+    design = np.hstack([np.ones((n, 1)), features])
+    picked = (np.arange(n), labels)
+    onehot = np.zeros((n, n_classes))
+    onehot[picked] = 1.0
+    return design, onehot, picked
+
+
 def logistic_loss_and_gradient(weights, features, labels):
     """Mean cross-entropy and its gradient; the pinned last row's gradient is 0."""
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    n = x.shape[0]
-    xt = np.hstack([np.ones((n, 1)), x])
-    probs = _softmax_rows(xt @ w.T)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), y] = 1.0
-    grad = (probs - onehot).T @ xt / n
-    grad[-1] = 0.0
-    return loss, grad
+    return _logistic_kernel(w, *_logistic_inputs(x, y, w.shape[0]))
 
 
 def fit_logistic(
@@ -229,12 +243,13 @@ def fit_logistic(
     if learning_rate <= 0 or max_iter < 0 or tolerance < 0:
         raise ValueError("learning_rate must be positive, max_iter and tolerance nonnegative")
     c, p = ds.n_classes, ds.n_features
+    inputs = _logistic_inputs(ds.features, ds.labels, c)
     w = np.zeros((c, p + 1))
     history = []
     prev = None
     iterations = 0
     for it in range(max_iter):
-        loss, grad = logistic_loss_and_gradient(w, ds.features, ds.labels)
+        loss, grad = _logistic_kernel(w, *inputs)
         if not np.isfinite(loss):
             raise ValueError(f"training loss became non-finite at iteration {it}")
         history.append(loss)
@@ -243,7 +258,7 @@ def fit_logistic(
         w = w - learning_rate * grad
         prev = loss
         iterations = it + 1
-    final_loss, _ = logistic_loss_and_gradient(w, ds.features, ds.labels)
+    final_loss, _ = _logistic_kernel(w, *inputs)
     return LogisticModel(
         weights=w, iterations=iterations, final_loss=float(final_loss),
         loss_history=tuple(history),

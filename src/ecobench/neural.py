@@ -66,13 +66,11 @@ class TrainTrace:
 
 
 def sigmoid(x):
-    """Logistic function 1/(1+e^-x), saturating without overflow."""
+    """Logistic function 1/(1+e^-x), saturating without overflow: with
+    e = exp(-|x|) it is 1/(1+e) for x >= 0 and e/(1+e) below."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -136,24 +134,22 @@ def fit_mlp(
     targets = np.zeros((n, c))
     targets[np.arange(n), ds.labels] = 1.0
 
-    def sse_of(w1_, b1_, w2_, b2_):
-        hidden = sigmoid(x @ w1_ + b1_)
-        return float((((hidden @ w2_ + b2_) - targets) ** 2).sum())
-
-    prev = sse_of(w1, b1, w2, b2)
+    # the forward pass that scores an epoch's update is the next epoch's forward pass
+    hidden = sigmoid(x @ w1 + b1)
+    d_out = hidden @ w2 + b2 - targets
+    prev = float((d_out ** 2).sum())
     if not np.isfinite(prev):
         raise ValueError("training loss became non-finite at epoch 0")
     trace = []
     for epoch in range(epochs):
-        hidden = sigmoid(x @ w1 + b1)
-        outputs = hidden @ w2 + b2
-        d_out = outputs - targets
         d_hidden = (d_out @ w2.T) * hidden * (1.0 - hidden)
         w2 = w2 - learning_rate * (hidden.T @ d_out)
         b2 = b2 - learning_rate * d_out.sum(axis=0)
         w1 = w1 - learning_rate * (x.T @ d_hidden)
         b1 = b1 - learning_rate * d_hidden.sum(axis=0)
-        sse = sse_of(w1, b1, w2, b2)
+        hidden = sigmoid(x @ w1 + b1)
+        d_out = hidden @ w2 + b2 - targets
+        sse = float((d_out ** 2).sum())
         if not np.isfinite(sse):
             raise ValueError(f"training loss became non-finite at epoch {epoch + 1}")
         trace.append(sse)

@@ -128,53 +128,52 @@ class ForestModel:
         imp.flags.writeable = False
 
 
-def _impurity_of_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each row of a (m, c) count matrix; zero-total rows map to 0."""
-    totals = counts.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1.0)
-    p = counts / safe
+def _impurity_of_proportions(p: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of each class-proportion vector along the last axis of `p`.
+
+    `p` is C-contiguous with classes last, so every class sum is reduced in
+    numpy's one fixed (pairwise) order whatever the leading axes are.
+    """
     if criterion == "entropy":
         terms = np.zeros_like(p)
         mask = p > 0
         terms[mask] = p[mask] * np.log2(p[mask])
-        return -terms.sum(axis=1)
+        return -terms.sum(axis=-1)
     if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=1)
+        return 1.0 - (p * p).sum(axis=-1)
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
 def _best_split(features, onehot, candidates, criterion):
     """Best (decrease, feature, threshold) over midpoint splits, or None.
 
-    Ties favor the lowest feature index (candidates scanned ascending with a
-    strict comparison) and then the lowest threshold (first argmax position).
+    Every candidate column is presorted and scored in one array pass: both
+    children of every boundary between distinct sorted values at once.
+    Ties favor the lowest feature index, then the lowest threshold (the
+    first maximum of the feature-major decrease matrix).
     """
-    n = onehot.shape[0]
+    n, n_classes = onehot.shape
+    columns = features[:, candidates].T
+    ordered = np.sort(columns, axis=1, kind="stable")
+    is_boundary = ordered[:, 1:] > ordered[:, :-1]
+    if not is_boundary.any():
+        return None
+    order = np.argsort(columns, axis=1, kind="stable")
     total_counts = onehot.sum(axis=0)
-    parent = float(_impurity_of_rows(total_counts[None, :], criterion)[0])
-    best = None
-    for f in candidates:
-        values = features[:, f]
-        order = np.argsort(values, kind="stable")
-        ordered = values[order]
-        boundaries = np.flatnonzero(ordered[1:] > ordered[:-1])
-        if boundaries.size == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)
-        left_counts = cum[boundaries]
-        right_counts = total_counts[None, :] - left_counts
-        n_left = left_counts.sum(axis=1)
-        n_right = n - n_left
-        children = (
-            n_left * _impurity_of_rows(left_counts, criterion)
-            + n_right * _impurity_of_rows(right_counts, criterion)
-        ) / n
-        decreases = parent - children
-        i = int(np.argmax(decreases))
-        if best is None or decreases[i] > best[0]:
-            threshold = float((ordered[boundaries[i]] + ordered[boundaries[i] + 1]) / 2.0)
-            best = (float(decreases[i]), int(f), threshold)
-    return best
+    parent = _impurity_of_proportions(total_counts / n, criterion)
+    # counts[0] / counts[1]: class counts left / right of the cut after each
+    # sorted position; sizes holds their exact row totals
+    counts = np.empty((2, columns.shape[0], n - 1, n_classes))
+    np.cumsum(onehot[order[:, :-1]], axis=1, out=counts[0])
+    np.subtract(total_counts, counts[0], out=counts[1])
+    n_left = np.arange(1.0, n)
+    sizes = np.stack([n_left, n - n_left])[:, None, :, None]
+    impurity = _impurity_of_proportions(counts / sizes, criterion)
+    children = (n_left * impurity[0] + (n - n_left) * impurity[1]) / n
+    decreases = np.where(is_boundary, parent - children, -np.inf)
+    f, i = divmod(int(decreases.argmax()), n - 1)
+    threshold = float((ordered[f, i] + ordered[f, i + 1]) / 2.0)
+    return float(decreases[f, i]), int(candidates[f]), threshold
 
 
 class _TreeBuilder:
@@ -193,6 +192,7 @@ class _TreeBuilder:
         self.n_total = labels.size
         self.n_features = features.shape[1]
         self.importance = np.zeros(self.n_features)
+        self.onehot_of = np.eye(n_classes)
 
     def grow(self) -> TreeNode:
         """Split nodes in pre-order, left subtree before right, from an explicit
@@ -237,8 +237,7 @@ class _TreeBuilder:
             return self._leaf(counts, n)
 
         features = self.features[indices]
-        onehot = np.zeros((n, self.n_classes))
-        onehot[np.arange(n), labels] = 1.0
+        onehot = self.onehot_of[labels]
         if self.m_try is not None and self.m_try < self.n_features:
             candidates = np.sort(self.rng.choice(self.n_features, self.m_try, replace=False))
             best = _best_split(features, onehot, candidates, self.criterion)

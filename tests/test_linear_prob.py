@@ -213,6 +213,69 @@ def test_fit_logistic_stops_when_loss_settles():
     assert len(model.loss_history) == model.iterations + 1
 
 
+def _loss_and_gradient_inline(weights, features, labels):
+    """Reference loss and gradient, every intermediate built inline."""
+    n = features.shape[0]
+    xt = np.hstack([np.ones((n, 1)), features])
+    scores = xt @ weights.T
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), labels] = 1.0
+    grad = (probs - onehot).T @ xt / n
+    grad[-1] = 0.0
+    return loss, grad
+
+
+def test_logistic_loss_and_gradient_equal_inline_form():
+    rng = np.random.default_rng(23)
+    for n, p, c in ((12, 3, 2), (40, 5, 4), (7, 1, 6)):
+        x = rng.normal(size=(n, p))
+        y = rng.integers(0, c, size=n)
+        w = rng.normal(scale=2.0, size=(c, p + 1))
+        w[-1] = 0.0
+        loss, grad = logistic_loss_and_gradient(w, x, y)
+        expected_loss, expected_grad = _loss_and_gradient_inline(w, x, y)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+
+def _fit_logistic_stepwise(ds, learning_rate, max_iter, tolerance):
+    """Reference descent loop: `logistic_loss_and_gradient` rebuilds the
+    design matrix and one-hot labels on every iteration."""
+    w = np.zeros((ds.n_classes, ds.n_features + 1))
+    history = []
+    prev = None
+    iterations = 0
+    for it in range(max_iter):
+        loss, grad = logistic_loss_and_gradient(w, ds.features, ds.labels)
+        history.append(loss)
+        if prev is not None and 0.0 <= prev - loss < tolerance:
+            break
+        w = w - learning_rate * grad
+        prev = loss
+        iterations = it + 1
+    final_loss, _ = logistic_loss_and_gradient(w, ds.features, ds.labels)
+    return w, iterations, final_loss, history
+
+
+@pytest.mark.parametrize(
+    "max_iter, tolerance, stops_early",
+    [(400, 0.0, False), (50000, 1e-4, True)],
+    ids=["runs-to-cap", "stops-early"],
+)
+def test_fit_logistic_equals_stepwise_oracle(max_iter, tolerance, stops_early):
+    ds, _ = standardize(_blob_dataset(19, n_per=10, c=4, gap=2.0))
+    model = fit_logistic(ds, learning_rate=0.2, max_iter=max_iter, tolerance=tolerance)
+    w, iterations, final_loss, history = _fit_logistic_stepwise(ds, 0.2, max_iter, tolerance)
+    assert (model.iterations < max_iter) == stops_early
+    assert model.iterations == iterations
+    assert model.weights.tobytes() == w.tobytes()
+    assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
+    assert np.float64(model.final_loss).tobytes() == np.float64(final_loss).tobytes()
+
+
 def test_predict_logistic_proba_sums_to_one():
     ds = _blob_dataset(16)
     model = fit_logistic(ds, max_iter=200)

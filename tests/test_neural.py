@@ -47,6 +47,49 @@ def test_sigmoid_values_and_saturation():
     assert sigmoid(np.zeros((2, 3))).shape == (2, 3)
 
 
+def _sigmoid_two_branch(x):
+    """Reference sigmoid: each sign's branch evaluated on its own masked elements."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+def _same_bits(got, expected):
+    """Equal bit patterns, except that NaN only has to map to NaN."""
+    got, expected = np.asarray(got, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    nan = np.isnan(expected)
+    return (
+        got.shape == expected.shape
+        and np.array_equal(np.isnan(got), nan)
+        and got[~nan].tobytes() == expected[~nan].tobytes()
+    )
+
+
+def test_sigmoid_is_bit_identical_to_two_branch_form():
+    edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 1000.0, -1000.0,
+             np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(37)
+    batches = [
+        np.array(edges),
+        rng.normal(size=500),
+        rng.normal(scale=50.0, size=(40, 7)),
+        rng.uniform(-800.0, 800.0, size=(3, 5, 11)),
+        np.empty(0),
+    ]
+    for x in batches:
+        assert _same_bits(sigmoid(x), _sigmoid_two_branch(x))
+    for value in edges + list(rng.normal(scale=30.0, size=20)):
+        got = sigmoid(value)
+        assert type(got) is float
+        assert _same_bits(got, _sigmoid_two_branch(value))
+    assert type(sigmoid(np.float64(2.0))) is float
+    assert sigmoid(np.array(-0.0)) == 0.5
+
+
 def test_forward_matches_manual_computation():
     model = MlpModel(
         input_to_hidden=np.array([[1.0, 0.0], [0.0, -1.0]]),
@@ -105,6 +148,74 @@ def test_fit_stops_once_improvement_vanishes():
     ds = Dataset([[0.0], [1.0]], [0, 1], ("a",), ("X", "Y"))
     _, trace = fit_mlp(ds, q=2, epochs=200000, learning_rate=0.5, seed=0)
     assert trace.steps < 200000
+
+
+def _fit_mlp_two_passes(ds, q, epochs, learning_rate, seed, init_scale=0.5):
+    """Reference training loop: every epoch runs its own forward pass, then a
+    second one to score the updated weights."""
+    p, c, n = ds.n_features, ds.n_classes, ds.n_samples
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-init_scale, init_scale, size=(p, q))
+    b1 = rng.uniform(-init_scale, init_scale, size=q)
+    w2 = rng.uniform(-init_scale, init_scale, size=(q, c))
+    b2 = rng.uniform(-init_scale, init_scale, size=c)
+    x = ds.features
+    targets = np.zeros((n, c))
+    targets[np.arange(n), ds.labels] = 1.0
+
+    def sse_of(w1_, b1_, w2_, b2_):
+        hidden = _sigmoid_two_branch(x @ w1_ + b1_)
+        return float((((hidden @ w2_ + b2_) - targets) ** 2).sum())
+
+    prev = sse_of(w1, b1, w2, b2)
+    trace = []
+    for epoch in range(epochs):
+        hidden = _sigmoid_two_branch(x @ w1 + b1)
+        d_out = (hidden @ w2 + b2) - targets
+        d_hidden = (d_out @ w2.T) * hidden * (1.0 - hidden)
+        w2 = w2 - learning_rate * (hidden.T @ d_out)
+        b2 = b2 - learning_rate * d_out.sum(axis=0)
+        w1 = w1 - learning_rate * (x.T @ d_hidden)
+        b1 = b1 - learning_rate * d_hidden.sum(axis=0)
+        sse = sse_of(w1, b1, w2, b2)
+        if not np.isfinite(sse):
+            raise ValueError(f"training loss became non-finite at epoch {epoch + 1}")
+        trace.append(sse)
+        if 0.0 <= prev - sse < 1e-10:
+            break
+        prev = sse
+    return (w1, b1, w2, b2), trace
+
+
+@pytest.mark.parametrize(
+    "ds, q, epochs, learning_rate, stops_early",
+    [
+        (_blob_dataset(5), 4, 300, 0.02, False),
+        (Dataset([[0.0], [1.0]], [0, 1], ("a",), ("X", "Y")), 2, 200000, 0.5, True),
+    ],
+    ids=["runs-to-cap", "stops-early"],
+)
+def test_fit_equals_two_forward_passes_per_epoch(ds, q, epochs, learning_rate, stops_early):
+    model, trace = fit_mlp(ds, q=q, epochs=epochs, learning_rate=learning_rate, seed=3)
+    weights, sse = _fit_mlp_two_passes(ds, q, epochs, learning_rate, seed=3)
+    assert (trace.steps < epochs) == stops_early
+    assert trace.steps == len(sse)
+    assert np.array(trace.sse).tobytes() == np.array(sse).tobytes()
+    fitted = (model.input_to_hidden, model.hidden_bias, model.hidden_to_output,
+              model.output_bias)
+    for got, expected in zip(fitted, weights):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_fit_divergence_epoch_equals_two_forward_passes_per_epoch():
+    ds = _blob_dataset(8)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as expected:
+            _fit_mlp_two_passes(ds, 5, 500, 1e6, seed=0)
+        with pytest.raises(ValueError) as got:
+            fit_mlp(ds, q=5, epochs=500, learning_rate=1e6, seed=0)
+    assert "non-finite at epoch" in str(got.value)
+    assert str(got.value) == str(expected.value)
 
 
 def test_fit_seed_determinism():

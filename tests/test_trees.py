@@ -16,6 +16,8 @@ from ecobench import (
     predict_forest,
     predict_tree,
 )
+from ecobench.dataset import _CLASS_NAME_POOL
+from ecobench.trees import _best_split
 
 
 def _names(p):
@@ -127,6 +129,108 @@ def test_tree_split_tie_breaks_prefer_low_feature_then_low_threshold():
     ds = Dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], ("a",), ("X", "Y"))
     # gains tie at thresholds 0.5 and 2.5; the lower one must win
     assert fit_decision_tree(ds).root.threshold == 0.5
+
+
+def _impurity_of_rows_loop(counts, criterion):
+    """Row impurities as the per-feature split loop computed them."""
+    totals = counts.sum(axis=1, keepdims=True)
+    safe = np.where(totals > 0, totals, 1.0)
+    p = counts / safe
+    if criterion == "entropy":
+        terms = np.zeros_like(p)
+        mask = p > 0
+        terms[mask] = p[mask] * np.log2(p[mask])
+        return -terms.sum(axis=1)
+    return 1.0 - (p * p).sum(axis=1)
+
+
+def _best_split_loop(features, onehot, candidates, criterion):
+    """Reference split search: one candidate feature per Python iteration."""
+    n = onehot.shape[0]
+    total_counts = onehot.sum(axis=0)
+    parent = float(_impurity_of_rows_loop(total_counts[None, :], criterion)[0])
+    best = None
+    for f in candidates:
+        values = features[:, f]
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        boundaries = np.flatnonzero(ordered[1:] > ordered[:-1])
+        if boundaries.size == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        left_counts = cum[boundaries]
+        right_counts = total_counts[None, :] - left_counts
+        n_left = left_counts.sum(axis=1)
+        n_right = n - n_left
+        children = (
+            n_left * _impurity_of_rows_loop(left_counts, criterion)
+            + n_right * _impurity_of_rows_loop(right_counts, criterion)
+        ) / n
+        decreases = parent - children
+        i = int(np.argmax(decreases))
+        if best is None or decreases[i] > best[0]:
+            threshold = float((ordered[boundaries[i]] + ordered[boundaries[i] + 1]) / 2.0)
+            best = (float(decreases[i]), int(f), threshold)
+    return best
+
+
+def _split_tables(rng):
+    """(features, labels, n_classes) for every class count of the generator:
+    continuous and few-level columns, constant and duplicated columns, n = 2."""
+    for c in range(2, len(_CLASS_NAME_POOL) + 1):
+        for trial in range(8):
+            n = int(rng.integers(3, 45))
+            p = int(rng.integers(1, 7))
+            if trial % 2:
+                features = rng.integers(0, int(rng.integers(2, 5)), size=(n, p)).astype(float)
+            else:
+                features = rng.normal(size=(n, p))
+            if trial % 4 == 1 and p > 1:
+                features[:, -1] = features[:, 0]
+            if trial % 4 == 3:
+                features[:, rng.random(p) < 0.5] = 2.5
+            yield features, rng.integers(0, c, size=n), c
+        yield np.full((6, 3), 1.0), rng.integers(0, c, size=6), c
+        yield np.array([[0.0, 4.0], [1.0, 4.0]]), np.array([0, c - 1]), c
+        yield np.array([[3.0], [3.0]]), np.array([0, c - 1]), c
+
+
+def _sequential_class_sum_differs(onehot):
+    """Whether some prefix's Gini class sum rounds differently added left to right."""
+    cum = np.cumsum(onehot, axis=0)
+    squares = (cum / cum.sum(axis=1, keepdims=True)) ** 2
+    sequential = np.zeros(squares.shape[0])
+    for j in range(squares.shape[1]):
+        sequential = sequential + squares[:, j]
+    return bool(np.any(sequential != squares.sum(axis=1)))
+
+
+def test_best_split_is_bit_identical_to_per_feature_loop():
+    rng = np.random.default_rng(2024)
+    compared = nones = feature_ties = reorder_sensitive = 0
+    for features, labels, c in _split_tables(rng):
+        onehot = np.eye(c)[labels]
+        p = features.shape[1]
+        subsets = [np.sort(rng.choice(p, int(rng.integers(1, p + 1)), replace=False))]
+        for candidates in [range(p)] + subsets:
+            for criterion in ("gini", "entropy"):
+                expected = _best_split_loop(features, onehot, candidates, criterion)
+                got = _best_split(features, onehot, candidates, criterion)
+                compared += 1
+                if expected is None:
+                    assert got is None
+                    nones += 1
+                    continue
+                decrease, feature, threshold = got
+                assert feature == expected[1]
+                assert np.float64(decrease).tobytes() == np.float64(expected[0]).tobytes()
+                assert np.float64(threshold).tobytes() == np.float64(expected[2]).tobytes()
+                feature_ties += any(
+                    g > feature and np.array_equal(features[:, g], features[:, feature])
+                    for g in candidates
+                )
+        reorder_sensitive += c >= 8 and _sequential_class_sum_differs(onehot)
+    assert compared > 300 and nones > 0 and feature_ties > 0 and reorder_sensitive > 0
 
 
 def test_tree_depth_and_split_size_limits():
