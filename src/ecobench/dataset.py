@@ -25,6 +25,25 @@ _DEFAULT_CLASS_MEANS = (
 _DEFAULT_SPREADS = (2.0, 2.0, 2.0, 2.0, 2.0, 4.0, 1.1, 0.5)
 
 
+def as_rows(x, n_features: int) -> tuple[np.ndarray, bool]:
+    """(m, p) float matrix from one row or an (m, p) matrix, and whether x was
+    one row. Every model's predictor takes either and answers in kind: an int
+    (or one score vector) for a row, an (m,) label array for a matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim < 2
+    rows = x.reshape(1, -1) if single else x
+    if rows.ndim != 2 or rows.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} feature values, got {rows.shape[-1]}")
+    return rows, single
+
+
+def top_class(scores):
+    """Highest-scoring class of a (c,) vector (an int) or of each row of an
+    (m, c) matrix (an (m,) array); ties go to the lowest class index."""
+    labels = np.argmax(scores, axis=-1)
+    return int(labels) if scores.ndim == 1 else labels
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable n x p feature matrix with integer class labels and names."""

@@ -16,6 +16,9 @@ import numpy as np
 
 from .dataset import Dataset, k_fold, standardize, train_test_split
 from .linear_prob import (
+    LdaModel,
+    LogisticModel,
+    NaiveBayesModel,
     fit_lda,
     fit_logistic,
     fit_naive_bayes,
@@ -25,6 +28,8 @@ from .linear_prob import (
 )
 from .margin_instance import (
     KernelSpec,
+    KnnModel,
+    SvmMulticlassModel,
     default_gamma,
     fit_knn,
     fit_svm_multiclass,
@@ -32,8 +37,15 @@ from .margin_instance import (
     predict_svm,
 )
 from .metrics import BinaryAggregates, MeasureSet, confusion_matrix, macro_aggregate, measures
-from .neural import fit_mlp, predict_mlp
-from .trees import fit_decision_tree, fit_random_forest, predict_forest, predict_tree
+from .neural import MlpModel, fit_mlp, predict_mlp
+from .trees import (
+    DecisionTreeModel,
+    ForestModel,
+    fit_decision_tree,
+    fit_random_forest,
+    predict_forest,
+    predict_tree,
+)
 
 ALGORITHM_ORDER = ("DT", "RF", "ANN", "SVM", "LDA", "KNN", "LR", "NB")
 PROCESS_ORDER = ("I", "II", "III")
@@ -125,18 +137,12 @@ def _fit_svm(train: Dataset, seed: int, params: dict):
     return fit_svm_multiclass(train, **params)
 
 
-def _per_row(predict_one):
-    """Matrix predictor from a one-row predictor, for models without a batch path."""
-    def predict_rows(model, features: np.ndarray) -> np.ndarray:
-        return np.array([predict_one(model, x) for x in features], dtype=np.int64)
-    return predict_rows
-
-
 @dataclass(frozen=True)
 class AlgorithmAdapter:
     name: str
+    model_class: type  # the dataclass `fit` returns, which model_io saves and loads
     fit: object
-    predict_rows: object  # (model, (m, p) matrix) -> (m,) labels
+    predict_rows: object  # the module's predictor: one row -> int, (m, p) matrix -> (m,) labels
     param_names: tuple[str, ...]
 
     def predict(self, model, features: np.ndarray) -> np.ndarray:
@@ -146,50 +152,58 @@ class AlgorithmAdapter:
 _REGISTRY = {
     "DT": AlgorithmAdapter(
         "DT",
+        DecisionTreeModel,
         lambda train, seed, p: fit_decision_tree(train, **p),
         predict_tree,
         ("max_depth", "min_samples_split", "criterion"),
     ),
     "RF": AlgorithmAdapter(
         "RF",
+        ForestModel,
         lambda train, seed, p: fit_random_forest(train, seed=seed, **p),
         predict_forest,
         ("n_trees", "m_try", "max_depth", "min_samples_split"),
     ),
     "ANN": AlgorithmAdapter(
         "ANN",
+        MlpModel,
         lambda train, seed, p: fit_mlp(train, seed=seed, **p)[0],
-        _per_row(predict_mlp),
+        predict_mlp,
         ("q", "epochs", "learning_rate", "init_scale"),
     ),
     "SVM": AlgorithmAdapter(
         "SVM",
+        SvmMulticlassModel,
         _fit_svm,
-        _per_row(predict_svm),
+        predict_svm,
         ("cost", "tol", "kernel", "gamma"),
     ),
     "LDA": AlgorithmAdapter(
         "LDA",
+        LdaModel,
         lambda train, seed, p: fit_lda(train),
-        _per_row(predict_lda),
+        predict_lda,
         (),
     ),
     "KNN": AlgorithmAdapter(
         "KNN",
+        KnnModel,
         lambda train, seed, p: fit_knn(train, **p),
-        _per_row(knn_predict),
+        knn_predict,
         ("k",),
     ),
     "LR": AlgorithmAdapter(
         "LR",
+        LogisticModel,
         lambda train, seed, p: fit_logistic(train, **p),
-        _per_row(predict_logistic),
+        predict_logistic,
         ("learning_rate", "max_iter", "tolerance"),
     ),
     "NB": AlgorithmAdapter(
         "NB",
+        NaiveBayesModel,
         lambda train, seed, p: fit_naive_bayes(train),
-        _per_row(predict_nb),
+        predict_nb,
         (),
     ),
 }

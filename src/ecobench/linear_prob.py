@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .dataset import Dataset
+from .dataset import Dataset, as_rows, top_class
 
 LDA_REGULARIZATION_EPSILON = 1e-8
 
@@ -136,16 +136,14 @@ def mahalanobis_sq(model: LdaModel, class_i: int, class_j: int) -> float:
     return float(diff @ np.linalg.solve(model.pooled_covariance, diff))
 
 
-def predict_lda(model: LdaModel, x) -> int:
+def predict_lda(model: LdaModel, x):
     """Largest Gaussian discriminant score wins; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature values, got {x.size}")
+    rows, single = as_rows(x, model.n_features)
     weights = np.linalg.solve(model.pooled_covariance, model.class_means.T)
-    scores = x @ weights - 0.5 * np.sum(model.class_means.T * weights, axis=0) + np.log(
+    scores = rows @ weights - 0.5 * np.sum(model.class_means.T * weights, axis=0) + np.log(
         model.priors
     )
-    return int(np.argmax(scores))
+    return top_class(scores[0] if single else scores)
 
 
 def discriminant_table(model: LdaModel, feature_names) -> str:
@@ -170,7 +168,7 @@ class LogisticModel:
     weights: np.ndarray
     iterations: int
     final_loss: float
-    loss_history: tuple[float, ...]
+    loss_history: tuple[float, ...] = field(default=(), metadata={"save": False})
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -266,18 +264,15 @@ def fit_logistic(
 
 
 def predict_logistic_proba(model: LogisticModel, x) -> np.ndarray:
-    """Class probabilities for one input; they sum to 1."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature values, got {x.size}")
-    scores = model.weights @ np.concatenate([[1.0], x])
-    e = np.exp(scores - scores.max())
-    probs = e / e.sum()
-    return probs / probs.sum()
+    """Class probabilities of each row; they sum to 1."""
+    rows, single = as_rows(x, model.n_features)
+    probs = _softmax_rows(np.hstack([np.ones((rows.shape[0], 1)), rows]) @ model.weights.T)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs[0] if single else probs
 
 
-def predict_logistic(model: LogisticModel, x) -> int:
-    return int(np.argmax(predict_logistic_proba(model, x)))
+def predict_logistic(model: LogisticModel, x):
+    return top_class(predict_logistic_proba(model, x))
 
 
 @dataclass(frozen=True)
@@ -330,18 +325,18 @@ def fit_naive_bayes(ds: Dataset) -> NaiveBayesModel:
 
 def nb_posterior(model: NaiveBayesModel, x) -> np.ndarray:
     """Normalized class posteriors, accumulated in log space for stability."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature values, got {x.size}")
+    rows, single = as_rows(x, model.n_features)
     log_like = -0.5 * (
-        np.log(2.0 * np.pi * model.variances) + (x - model.means) ** 2 / model.variances
-    ).sum(axis=1)
+        np.log(2.0 * np.pi * model.variances)
+        + (rows[:, None, :] - model.means) ** 2 / model.variances
+    ).sum(axis=2)
     log_post = np.log(model.priors) + log_like
-    log_post -= log_post.max()
+    log_post -= log_post.max(axis=1, keepdims=True)
     post = np.exp(log_post)
-    return post / post.sum()
+    post /= post.sum(axis=1, keepdims=True)
+    return post[0] if single else post
 
 
-def predict_nb(model: NaiveBayesModel, x) -> int:
+def predict_nb(model: NaiveBayesModel, x):
     """Highest posterior wins; ties go to the lowest class index."""
-    return int(np.argmax(nb_posterior(model, x)))
+    return top_class(nb_posterior(model, x))

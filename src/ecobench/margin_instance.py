@@ -3,14 +3,16 @@ dual coordinate optimization, and brute-force k-nearest neighbors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, as_rows
 
 KKT_TOLERANCE = 1e-3
 SUPPORT_THRESHOLD = 1e-8
+# Most floats in one block of k-NN query-to-training differences
+KNN_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -18,7 +20,7 @@ class KernelSpec:
     """Inner-product rule: plain dot product, or a radial basis of width 1/gamma."""
 
     kind: str
-    gamma: float | None = None
+    gamma: float | None = field(default=None, metadata={"save_none": True})
 
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
@@ -83,6 +85,8 @@ class SvmBinaryModel:
 
     def __post_init__(self):
         sv = np.asarray(self.support_vectors, dtype=np.float64)
+        if sv.shape == (0,):  # a saved machine without support vectors keeps no width
+            sv = sv.reshape(0, 0)
         dw = np.asarray(self.dual_weights, dtype=np.float64)
         object.__setattr__(self, "support_vectors", sv)
         object.__setattr__(self, "dual_weights", dw)
@@ -189,17 +193,16 @@ def fit_svm_binary(
     )
 
 
-def svm_decision_value(model: SvmBinaryModel, x) -> float:
-    """Dual expansion sum(alpha_i y_i k(sv_i, x)) + bias."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if model.n_support and x.size != model.support_vectors.shape[1]:
-        raise ValueError(
-            f"expected {model.support_vectors.shape[1]} feature values, got {x.size}"
-        )
+def svm_decision_value(model: SvmBinaryModel, x):
+    """Dual expansion sum(alpha_i y_i k(sv_i, x)) + bias of each row; a machine
+    without support vectors answers its bias to rows of any width."""
     if not model.n_support:
-        return model.bias
-    values = kernel_matrix(model.kernel, model.support_vectors, x[None, :])[:, 0]
-    return float(model.dual_weights @ values + model.bias)
+        x = np.asarray(x)
+        return model.bias if x.ndim < 2 else np.full(x.shape[0], float(model.bias))
+    rows, single = as_rows(x, model.support_vectors.shape[1])
+    values = kernel_matrix(model.kernel, model.support_vectors, rows)
+    decisions = model.dual_weights @ values + model.bias
+    return float(decisions[0]) if single else decisions
 
 
 @dataclass(frozen=True)
@@ -262,24 +265,27 @@ def fit_svm_multiclass(
     )
 
 
-def predict_svm(model: SvmMulticlassModel, x) -> int:
-    """Most pairwise wins; ties fall to summed decision magnitudes, then to
-    the lowest class index."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature values, got {x.size}")
-    wins = np.zeros(model.n_classes)
-    magnitude = np.zeros(model.n_classes)
+def predict_svm(model: SvmMulticlassModel, x):
+    """Most pairwise wins; ties fall to summed decision magnitudes, added in
+    machine order, then to the lowest class index."""
+    rows, single = as_rows(x, model.n_features)
+    at = np.arange(rows.shape[0])
+    wins = np.zeros((rows.shape[0], model.n_classes))
+    magnitude = np.zeros((rows.shape[0], model.n_classes))
     for machine, (a, b) in zip(model.machines, model.class_pairs):
-        value = svm_decision_value(machine, x)
-        winner = a if value >= 0 else b
-        wins[winner] += 1
-        magnitude[winner] += abs(value)
-    best = 0
+        value = svm_decision_value(machine, rows)
+        winner = np.where(value >= 0, a, b)
+        wins[at, winner] += 1
+        magnitude[at, winner] += np.abs(value)
+    # a class replaces the best so far only if (wins, magnitude) is strictly greater
+    best = np.zeros(rows.shape[0], dtype=np.int64)
     for candidate in range(1, model.n_classes):
-        if (wins[candidate], magnitude[candidate]) > (wins[best], magnitude[best]):
-            best = candidate
-    return best
+        top_wins, top_magnitude = wins[at, best], magnitude[at, best]
+        better = (wins[:, candidate] > top_wins) | (
+            (wins[:, candidate] == top_wins) & (magnitude[:, candidate] > top_magnitude)
+        )
+        best[better] = candidate
+    return int(best[0]) if single else best
 
 
 def describe_svm(model: SvmMulticlassModel) -> str:
@@ -332,14 +338,19 @@ def fit_knn(ds: Dataset, k: int = 3) -> KnnModel:
     return KnnModel(features=ds.features, labels=ds.labels, k=k, n_classes=ds.n_classes)
 
 
-def knn_predict(model: KnnModel, x) -> int:
+def knn_predict(model: KnnModel, x):
     """Mode of the k nearest training labels by Euclidean distance; distance
-    ties prefer the lower training index, label ties the lower class index."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.features.shape[1]:
-        raise ValueError(f"expected {model.features.shape[1]} feature values, got {x.size}")
-    diff = model.features - x
-    distances = (diff * diff).sum(axis=1)
-    order = np.argsort(distances, kind="stable")
-    nearest = model.labels[order[: model.k]]
-    return int(np.argmax(np.bincount(nearest, minlength=model.n_classes)))
+    ties prefer the lower training index, label ties the lower class index.
+    Rows go in blocks of at most KNN_BLOCK_FLOATS differences."""
+    n, p = model.features.shape
+    rows, single = as_rows(x, p)
+    labels = np.empty(rows.shape[0], dtype=np.int64)
+    step = max(1, KNN_BLOCK_FLOATS // max(n * p, 1))
+    classes = np.arange(model.n_classes)
+    for start in range(0, rows.shape[0], step):
+        diff = model.features - rows[start:start + step, None, :]
+        order = np.argsort((diff * diff).sum(axis=2), axis=1, kind="stable")
+        nearest = model.labels[order[:, : model.k]]
+        votes = (nearest[:, :, None] == classes).sum(axis=1)
+        labels[start:start + step] = np.argmax(votes, axis=1)
+    return int(labels[0]) if single else labels

@@ -1,13 +1,25 @@
 """Save and load fitted models as self-describing JSON bundles.
 
 A bundle records the algorithm, the training schema (feature and class
-names), the standardization parameters, and the model's own arrays, so a
-saved model can score new feature files exactly as the in-process one would.
+names), the standardization parameters, and the model itself, so a saved
+model can score new feature files exactly as the in-process one would.
+
+One codec writes every model from its dataclass fields, in field order: an
+array becomes a nested list, a tuple a list and a nested dataclass an object.
+A field whose default is None is left out while it is None (a tree leaf keeps
+only its class and distribution), unless its metadata has "save_none"; a
+field whose metadata has "save": False is not written (LR's loss history)
+and loads as its default. Loading converts each value by the field's type
+hint (arrays load as float64 and a model casts its integer arrays), and a
+malformed file is a ValueError naming the bad field.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,233 +27,82 @@ import numpy as np
 
 from .dataset import ScalingParams
 from .evaluation import algorithm_adapter
-from .linear_prob import LdaModel, LogisticModel, NaiveBayesModel
-from .margin_instance import KernelSpec, KnnModel, SvmBinaryModel, SvmMulticlassModel
-from .neural import MlpModel
-from .trees import DecisionTreeModel, ForestModel, TreeNode
 
 FORMAT_NAME = "ecobench-model"
 FORMAT_VERSION = 1
 
 
-def _encode_node(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {
-            "class_index": node.class_index,
-            "class_distribution": node.class_distribution.tolist(),
-        }
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _encode_node(node.left),
-        "right": _encode_node(node.right),
-    }
+def _converters(hint):
+    """(decode, encode) between a JSON value and a value of type `hint`; an
+    encode of None means the value is written as it is."""
+    if hint is np.ndarray:
+        return functools.partial(np.array, dtype=np.float64), np.ndarray.tolist
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_decode, hint), _encode
+    if typing.get_origin(hint) is tuple:
+        decode, encode = _converters(typing.get_args(hint)[0])
+        return (lambda value: tuple(decode(v) for v in value),
+                list if encode is None else lambda value: [encode(v) for v in value])
+    return hint, None
 
 
-def _decode_node(record: dict) -> TreeNode:
-    if "class_index" in record:
-        return TreeNode(
-            class_index=int(record["class_index"]),
-            class_distribution=np.array(record["class_distribution"]),
-        )
-    return TreeNode(
-        feature_index=int(record["feature_index"]),
-        threshold=float(record["threshold"]),
-        left=_decode_node(record["left"]),
-        right=_decode_node(record["right"]),
-    )
+@functools.cache
+def _plan(cls, **overrides) -> tuple:
+    """(name, omitted while None, may be None, decode, encode) per saved field
+    of `cls`, built once per class; `overrides` replaces some type hints."""
+    hints = {**typing.get_type_hints(cls), **overrides}
+    plan = []
+    for f in dataclasses.fields(cls):
+        if not f.metadata.get("save", True):
+            continue
+        hint = hints[f.name]
+        optional = type(None) in typing.get_args(hint)
+        if optional:  # X | None
+            hint = next(a for a in typing.get_args(hint) if a is not type(None))
+        omit = f.default is None and not f.metadata.get("save_none", False)
+        plan.append((f.name, omit, optional, *_converters(hint)))
+    return tuple(plan)
 
 
-def _encode_tree(model: DecisionTreeModel) -> dict:
-    return {
-        "root": _encode_node(model.root),
-        "n_features": model.n_features,
-        "n_classes": model.n_classes,
-        "criterion": model.criterion,
-        "max_depth": model.max_depth,
-        "min_samples_split": model.min_samples_split,
-    }
+def _encode(value, plan=None):
+    """JSON-ready record of a dataclass instance."""
+    record = {}
+    for name, omit, _, _, encode in plan or _plan(type(value)):
+        field_value = getattr(value, name)
+        if field_value is None:
+            if not omit:
+                record[name] = None
+        else:
+            record[name] = field_value if encode is None else encode(field_value)
+    return record
 
 
-def _decode_tree(record: dict) -> DecisionTreeModel:
-    return DecisionTreeModel(
-        root=_decode_node(record["root"]),
-        n_features=int(record["n_features"]),
-        n_classes=int(record["n_classes"]),
-        criterion=record["criterion"],
-        max_depth=record["max_depth"],
-        min_samples_split=int(record["min_samples_split"]),
-    )
-
-
-def _encode_kernel(kernel: KernelSpec) -> dict:
-    return {"kind": kernel.kind, "gamma": kernel.gamma}
-
-
-def _decode_kernel(record: dict) -> KernelSpec:
-    gamma = record["gamma"]
-    return KernelSpec(record["kind"], None if gamma is None else float(gamma))
-
-
-def _encode_model(name: str, model) -> dict:
-    if name == "DT":
-        return _encode_tree(model)
-    if name == "RF":
-        return {
-            "n_trees": model.n_trees,
-            "m_try": model.m_try,
-            "seed": model.seed,
-            "importance": model.importance.tolist(),
-            "n_features": model.n_features,
-            "n_classes": model.n_classes,
-            "trees": [_encode_tree(t) for t in model.trees],
-        }
-    if name == "ANN":
-        return {
-            "input_to_hidden": model.input_to_hidden.tolist(),
-            "hidden_bias": model.hidden_bias.tolist(),
-            "hidden_to_output": model.hidden_to_output.tolist(),
-            "output_bias": model.output_bias.tolist(),
-        }
-    if name == "SVM":
-        return {
-            "n_classes": model.n_classes,
-            "n_features": model.n_features,
-            "cost": model.cost,
-            "kernel": _encode_kernel(model.kernel),
-            "class_names": list(model.class_names),
-            "class_pairs": [list(p) for p in model.class_pairs],
-            "machines": [
-                {
-                    "support_vectors": m.support_vectors.tolist(),
-                    "dual_weights": m.dual_weights.tolist(),
-                    "bias": m.bias,
-                    "cost": m.cost,
-                    "kernel": _encode_kernel(m.kernel),
-                    "converged": m.converged,
-                    "kkt_residual": m.kkt_residual,
-                    "iterations": m.iterations,
-                }
-                for m in model.machines
-            ],
-        }
-    if name == "LDA":
-        return {
-            "class_means": model.class_means.tolist(),
-            "pooled_covariance": model.pooled_covariance.tolist(),
-            "priors": model.priors.tolist(),
-            "discriminant_axes": model.discriminant_axes.tolist(),
-            "regularization_epsilon": model.regularization_epsilon,
-        }
-    if name == "KNN":
-        return {
-            "features": model.features.tolist(),
-            "labels": model.labels.tolist(),
-            "k": model.k,
-            "n_classes": model.n_classes,
-        }
-    if name == "LR":
-        return {
-            "weights": model.weights.tolist(),
-            "iterations": model.iterations,
-            "final_loss": model.final_loss,
-        }
-    if name == "NB":
-        return {
-            "priors": model.priors.tolist(),
-            "means": model.means.tolist(),
-            "variances": model.variances.tolist(),
-            "variance_floor": model.variance_floor.tolist(),
-        }
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
-def _decode_model(name: str, record: dict):
-    if name == "DT":
-        return _decode_tree(record)
-    if name == "RF":
-        return ForestModel(
-            trees=tuple(_decode_tree(t) for t in record["trees"]),
-            n_trees=int(record["n_trees"]),
-            m_try=int(record["m_try"]),
-            seed=int(record["seed"]),
-            importance=np.array(record["importance"]),
-            n_features=int(record["n_features"]),
-            n_classes=int(record["n_classes"]),
-        )
-    if name == "ANN":
-        return MlpModel(
-            input_to_hidden=np.array(record["input_to_hidden"]),
-            hidden_bias=np.array(record["hidden_bias"]),
-            hidden_to_output=np.array(record["hidden_to_output"]),
-            output_bias=np.array(record["output_bias"]),
-        )
-    if name == "SVM":
-        machines = tuple(
-            SvmBinaryModel(
-                support_vectors=np.array(m["support_vectors"], dtype=np.float64).reshape(
-                    len(m["dual_weights"]), int(record["n_features"])
-                ),
-                dual_weights=np.array(m["dual_weights"]),
-                bias=float(m["bias"]),
-                cost=float(m["cost"]),
-                kernel=_decode_kernel(m["kernel"]),
-                converged=bool(m["converged"]),
-                kkt_residual=float(m["kkt_residual"]),
-                iterations=int(m["iterations"]),
-            )
-            for m in record["machines"]
-        )
-        return SvmMulticlassModel(
-            machines=machines,
-            class_pairs=tuple(tuple(p) for p in record["class_pairs"]),
-            n_classes=int(record["n_classes"]),
-            n_features=int(record["n_features"]),
-            cost=float(record["cost"]),
-            kernel=_decode_kernel(record["kernel"]),
-            class_names=tuple(record["class_names"]),
-        )
-    if name == "LDA":
-        return LdaModel(
-            class_means=np.array(record["class_means"]),
-            pooled_covariance=np.array(record["pooled_covariance"]),
-            priors=np.array(record["priors"]),
-            discriminant_axes=np.array(record["discriminant_axes"]),
-            regularization_epsilon=float(record["regularization_epsilon"]),
-        )
-    if name == "KNN":
-        return KnnModel(
-            features=np.array(record["features"], dtype=np.float64).reshape(
-                len(record["labels"]), -1
-            ),
-            labels=np.array(record["labels"]),
-            k=int(record["k"]),
-            n_classes=int(record["n_classes"]),
-        )
-    if name == "LR":
-        return LogisticModel(
-            weights=np.array(record["weights"]),
-            iterations=int(record["iterations"]),
-            final_loss=float(record["final_loss"]),
-            loss_history=(),
-        )
-    if name == "NB":
-        return NaiveBayesModel(
-            priors=np.array(record["priors"]),
-            means=np.array(record["means"]),
-            variances=np.array(record["variances"]),
-            variance_floor=np.array(record["variance_floor"]),
-        )
-    raise ValueError(f"unknown algorithm {name!r}")
+def _decode(cls, record, plan=None):
+    """A `cls` instance from its saved record. Nested dataclasses cost one
+    Python frame per level, as in `_encode`, so any tree that saves loads."""
+    if not isinstance(record, dict):
+        raise TypeError(f"expected an object, got {type(record).__name__}")
+    kwargs = {}
+    for name, omit, optional, decode, _ in plan or _plan(cls):
+        if name not in record:
+            if omit:
+                continue
+            raise ValueError(f"{name}: missing")
+        value = record[name]
+        try:
+            kwargs[name] = None if value is None and optional else decode(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class ModelBundle:
     algorithm: str
-    model: object
-    scaling: ScalingParams
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
+    scaling: ScalingParams
+    model: object  # an instance of the algorithm adapter's model_class
 
     @property
     def n_features(self) -> int:
@@ -260,19 +121,10 @@ class ModelBundle:
 
 def save_model(path, algorithm: str, model, scaling: ScalingParams,
                feature_names, class_names) -> None:
-    bundle = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "algorithm": algorithm,
-        "feature_names": list(feature_names),
-        "class_names": list(class_names),
-        "scaling": {
-            "means": scaling.means.tolist(),
-            "std_devs": scaling.std_devs.tolist(),
-        },
-        "model": _encode_model(algorithm, model),
-    }
-    Path(path).write_text(json.dumps(bundle, indent=2) + "\n", encoding="utf-8")
+    bundle = ModelBundle(algorithm, tuple(feature_names), tuple(class_names), scaling, model)
+    plan = _plan(ModelBundle, model=type(model))
+    document = {"format": FORMAT_NAME, "version": FORMAT_VERSION, **_encode(bundle, plan)}
+    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> ModelBundle:
@@ -280,18 +132,12 @@ def load_model(path) -> ModelBundle:
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
     record = json.loads(path.read_text(encoding="utf-8"))
-    if record.get("format") != FORMAT_NAME:
+    if not isinstance(record, dict) or record.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if record.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {record.get('version')!r}")
-    algorithm = record["algorithm"]
-    return ModelBundle(
-        algorithm=algorithm,
-        model=_decode_model(algorithm, record["model"]),
-        scaling=ScalingParams(
-            np.array(record["scaling"]["means"]),
-            np.array(record["scaling"]["std_devs"]),
-        ),
-        feature_names=tuple(record["feature_names"]),
-        class_names=tuple(record["class_names"]),
-    )
+    try:
+        model_class = algorithm_adapter(record.get("algorithm")).model_class
+        return _decode(ModelBundle, record, _plan(ModelBundle, model=model_class))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, as_rows, top_class
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,11 @@ def sigmoid(x):
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
-    """Network outputs for one input: linear read-out of sigmoid hidden units."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != model.n_inputs:
-        raise ValueError(f"expected {model.n_inputs} feature values, got {x.size}")
-    hidden = sigmoid(model.hidden_bias + x @ model.input_to_hidden)
-    return model.output_bias + hidden @ model.hidden_to_output
+    """Network outputs: linear read-out of sigmoid hidden units."""
+    rows, single = as_rows(x, model.n_inputs)
+    hidden = sigmoid(model.hidden_bias + rows @ model.input_to_hidden)
+    outputs = model.output_bias + hidden @ model.hidden_to_output
+    return outputs[0] if single else outputs
 
 
 def mlp_loss(model: MlpModel, features, targets) -> float:
@@ -162,9 +161,9 @@ def fit_mlp(
     return model, TrainTrace(sse=tuple(trace))
 
 
-def predict_mlp(model: MlpModel, x) -> int:
+def predict_mlp(model: MlpModel, x):
     """Largest output wins; ties go to the lowest class index."""
-    return int(np.argmax(forward(model, x)))
+    return top_class(forward(model, x))
 
 
 def trace_csv(trace: TrainTrace) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, as_rows, top_class
 
 
 def entropy(class_counts) -> float:
@@ -89,7 +89,8 @@ class TreeNode:
             if abs(dist.sum() - 1.0) > 1e-12:
                 raise ValueError("leaf class distribution must sum to 1")
             dist.flags.writeable = False
-        elif self.feature_index is None or self.left is None or self.right is None:
+        elif (self.feature_index is None or self.threshold is None
+              or self.left is None or self.right is None):
             raise ValueError("internal nodes need a feature, a threshold and two children")
 
     @property
@@ -284,16 +285,6 @@ def fit_decision_tree(
     )
 
 
-def _as_rows(x, n_features: int) -> tuple[np.ndarray, bool]:
-    """(m, p) float matrix from one row or an (m, p) matrix, and whether x was one row."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim < 2
-    rows = x.reshape(1, -1) if single else x
-    if rows.ndim != 2 or rows.shape[1] != n_features:
-        raise ValueError(f"expected {n_features} feature values, got {rows.shape[-1]}")
-    return rows, single
-
-
 def _route(root: TreeNode, rows: np.ndarray) -> np.ndarray:
     """Leaf class of every row of an (m, p) matrix: each node splits its whole
     block of rows at once; values equal to a threshold go left, NaN goes right."""
@@ -314,7 +305,7 @@ def _route(root: TreeNode, rows: np.ndarray) -> np.ndarray:
 def predict_tree(model: DecisionTreeModel, x):
     """Class index of one row (an int), or of each row of an (m, p) matrix (an
     (m,) array); values equal to a threshold go left, NaN goes right."""
-    rows, single = _as_rows(x, model.n_features)
+    rows, single = as_rows(x, model.n_features)
     labels = _route(model.root, rows)
     return int(labels[0]) if single else labels
 
@@ -397,7 +388,7 @@ def _staged_votes(model: ForestModel, rows: np.ndarray):
 def forest_votes(model: ForestModel, x) -> np.ndarray:
     """Per-class vote counts over the forest's trees: (n_classes,) for one row,
     (m, n_classes) for an (m, p) matrix."""
-    rows, single = _as_rows(x, model.n_features)
+    rows, single = as_rows(x, model.n_features)
     for votes in _staged_votes(model, rows):
         pass
     return votes[0] if single else votes
@@ -406,9 +397,7 @@ def forest_votes(model: ForestModel, x) -> np.ndarray:
 def predict_forest(model: ForestModel, x):
     """Majority vote over the trees, for one row (an int) or each row of an
     (m, p) matrix (an (m,) array); ties go to the lowest class index."""
-    votes = forest_votes(model, x)
-    labels = np.argmax(votes, axis=-1)
-    return int(labels) if votes.ndim == 1 else labels
+    return top_class(forest_votes(model, x))
 
 
 def forest_error_trace(model: ForestModel, train: Dataset, holdout: Dataset | None = None) -> str:
@@ -417,7 +406,7 @@ def forest_error_trace(model: ForestModel, train: Dataset, holdout: Dataset | No
     held-out dataset is supplied."""
 
     def staged_errors(ds: Dataset) -> np.ndarray:
-        rows, _ = _as_rows(ds.features, model.n_features)
+        rows, _ = as_rows(ds.features, model.n_features)
         return np.array([
             float(np.mean(np.argmax(votes, axis=1) != ds.labels))
             for votes in _staged_votes(model, rows)

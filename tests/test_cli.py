@@ -296,3 +296,23 @@ def test_cli_surface_errors_exit_1(tmp_path, capsys):
     assert entry(["fit", "--data", str(data), "--algorithm", "zz",
                   "--out", str(tmp_path / "m.json")]) == 1
     assert "unknown algorithm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda record: record["model"].pop("k"),
+    lambda record: record.pop("model"),
+    lambda record: record.update(model="knn"),
+])
+def test_predict_with_malformed_bundle_exits_1_without_traceback(tmp_path, capsys, damage):
+    data = _gen(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert entry(["fit", "--data", str(data), "--algorithm", "knn",
+                  "--out", str(model_path)]) == 0
+    record = json.loads(model_path.read_text(encoding="utf-8"))
+    damage(record)
+    model_path.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+    assert entry(["predict", "--model", str(model_path), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_path}: model")
+    assert "Traceback" not in err

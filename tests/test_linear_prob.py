@@ -7,6 +7,7 @@ from ecobench import (
     Dataset,
     LdaModel,
     LogisticModel,
+    NaiveBayesModel,
     discriminant_table,
     fisher_score,
     fit_lda,
@@ -362,3 +363,104 @@ def test_nb_requires_every_class_present():
     ds = Dataset(np.eye(4), [0, 0, 1, 1], _names(4), ("X", "Y", "Z"))
     with pytest.raises(ValueError, match="no samples"):
         fit_naive_bayes(ds)
+
+
+# ---------------------------------------------------------------- matrix predictors
+
+
+def _lda_scores_one(model, x):
+    """The one-row LDA scores the matrix predictor replaced."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    weights = np.linalg.solve(model.pooled_covariance, model.class_means.T)
+    return x @ weights - 0.5 * np.sum(model.class_means.T * weights, axis=0) + np.log(
+        model.priors
+    )
+
+
+def _logistic_proba_one(model, x):
+    """The one-row softmax the matrix predictor replaced."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    scores = model.weights @ np.concatenate([[1.0], x])
+    e = np.exp(scores - scores.max())
+    probs = e / e.sum()
+    return probs / probs.sum()
+
+
+def _nb_posterior_one(model, x):
+    """The one-row posterior the matrix predictor replaced."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    log_like = -0.5 * (
+        np.log(2.0 * np.pi * model.variances) + (x - model.means) ** 2 / model.variances
+    ).sum(axis=1)
+    log_post = np.log(model.priors) + log_like
+    log_post -= log_post.max()
+    post = np.exp(log_post)
+    return post / post.sum()
+
+
+def _probe_rows(ds, rng):
+    return np.vstack([ds.features, rng.normal(0.0, 8.0, size=(300, ds.n_features))])
+
+
+def _tied_models(p, c=3):
+    """An LDA, LR and NB model whose class scores are equal for every row."""
+    priors = np.full(c, 1.0 / c)
+    lda = LdaModel(
+        class_means=np.zeros((c, p)), pooled_covariance=np.eye(p), priors=priors,
+        discriminant_axes=np.eye(p)[: c - 1], regularization_epsilon=0.0,
+    )
+    lr = LogisticModel(weights=np.zeros((c, p + 1)), iterations=0, final_loss=0.0)
+    nb = NaiveBayesModel(
+        priors=priors, means=np.tile(np.linspace(-1.0, 1.0, p), (c, 1)),
+        variances=np.ones((c, p)), variance_floor=np.full(p, 1e-9),
+    )
+    return lda, lr, nb
+
+
+def test_matrix_predictors_equal_stacked_one_row_oracles():
+    rng = np.random.default_rng(61)
+    for seed, c in ((62, 2), (63, 3), (64, 5)):
+        ds, _ = standardize(_blob_dataset(seed, n_per=12, p=4, c=c, gap=1.5))
+        rows = _probe_rows(ds, rng)
+        lda, lr, nb = fit_lda(ds), fit_logistic(ds, max_iter=300), fit_naive_bayes(ds)
+
+        expected = np.vstack([_lda_scores_one(lda, x) for x in rows]).argmax(axis=1)
+        assert np.array_equal(predict_lda(lda, rows), expected)
+
+        probs = np.vstack([_logistic_proba_one(lr, x) for x in rows])
+        assert np.allclose(predict_logistic_proba(lr, rows), probs, rtol=0.0, atol=1e-12)
+        assert np.array_equal(predict_logistic(lr, rows), probs.argmax(axis=1))
+
+        post = np.vstack([_nb_posterior_one(nb, x) for x in rows])
+        assert np.array_equal(nb_posterior(nb, rows), post)
+        assert np.array_equal(predict_nb(nb, rows), post.argmax(axis=1))
+
+
+def test_matrix_predictors_break_all_equal_scores_to_class_zero():
+    rows = np.random.default_rng(65).normal(0.0, 3.0, size=(50, 4))
+    lda, lr, nb = _tied_models(4)
+    scores = {
+        "LDA": np.vstack([_lda_scores_one(lda, x) for x in rows]),
+        "LR": np.vstack([_logistic_proba_one(lr, x) for x in rows]),
+        "NB": np.vstack([_nb_posterior_one(nb, x) for x in rows]),
+    }
+    for table in scores.values():
+        assert np.all(table == table[:, :1])  # every class ties on every row
+    for predict, model in ((predict_lda, lda), (predict_logistic, lr), (predict_nb, nb)):
+        assert np.array_equal(predict(model, rows), np.zeros(len(rows)))
+        assert predict(model, rows[0]) == 0
+
+
+def test_one_row_gives_python_int_and_wrong_width_raises():
+    ds, _ = standardize(_blob_dataset(66, n_per=10, p=4))
+    models = ((predict_lda, fit_lda(ds)), (predict_logistic, fit_logistic(ds, max_iter=50)),
+              (predict_nb, fit_naive_bayes(ds)))
+    for predict, model in models:
+        label = predict(model, ds.features[0])
+        assert type(label) is int
+        assert predict(model, ds.features[:1]).shape == (1,)
+        with pytest.raises(ValueError, match="expected 4 feature values, got 5"):
+            predict(model, np.zeros((3, 5)))
+    lr, nb = models[1][1], models[2][1]
+    assert predict_logistic_proba(lr, ds.features[0]).shape == (3,)
+    assert nb_posterior(nb, ds.features[:7]).shape == (7, 3)

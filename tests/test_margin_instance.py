@@ -23,6 +23,7 @@ from ecobench import (
     predict_svm,
     svm_decision_value,
 )
+from ecobench import margin_instance
 
 
 def _names(p):
@@ -298,3 +299,126 @@ def test_knn_default_k_and_validation():
     model = fit_knn(ds, k=3)
     with pytest.raises(ValueError, match="expected 3 feature values"):
         knn_predict(model, [1.0])
+
+
+# ---------------------------------------------------------------- matrix predictors
+
+
+def _svm_decision_one(model, x):
+    """The one-row decision value the matrix form replaced."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if not model.n_support:
+        return model.bias
+    values = kernel_matrix(model.kernel, model.support_vectors, x[None, :])[:, 0]
+    return float(model.dual_weights @ values + model.bias)
+
+
+def _svm_vote_one(model, x):
+    """(wins, magnitudes, label) of the one-row vote the matrix form replaced."""
+    wins = np.zeros(model.n_classes)
+    magnitude = np.zeros(model.n_classes)
+    for machine, (a, b) in zip(model.machines, model.class_pairs):
+        value = _svm_decision_one(machine, x)
+        winner = a if value >= 0 else b
+        wins[winner] += 1
+        magnitude[winner] += abs(value)
+    best = 0
+    for candidate in range(1, model.n_classes):
+        if (wins[candidate], magnitude[candidate]) > (wins[best], magnitude[best]):
+            best = candidate
+    return wins, magnitude, best
+
+
+def _knn_one(model, x):
+    """(sorted distances, votes, label) of the one-row k-NN the matrix form replaced."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    diff = model.features - x
+    distances = (diff * diff).sum(axis=1)
+    order = np.argsort(distances, kind="stable")
+    votes = np.bincount(model.labels[order[: model.k]], minlength=model.n_classes)
+    return distances[order], votes, int(np.argmax(votes))
+
+
+def _linear_machine(direction):
+    """A one-support-vector linear machine whose decision value is direction . x."""
+    return SvmBinaryModel(
+        support_vectors=np.array([direction], dtype=np.float64),
+        dual_weights=np.ones(1),
+        bias=0.0,
+        cost=1.0,
+        kernel=KernelSpec("linear"),
+        converged=True,
+        kkt_residual=0.0,
+        iterations=0,
+    )
+
+
+def test_matrix_svm_equals_stacked_one_row_oracle():
+    rng = np.random.default_rng(81)
+    for seed, c in ((82, 2), (83, 3), (84, 4)):
+        blocks = [rng.normal(2.0 * j, 1.5, size=(12, 3)) for j in range(c)]
+        ds = Dataset(np.vstack(blocks), np.repeat(np.arange(c), 12), _names(3), tuple("WXYZ"[:c]))
+        model = fit_svm_multiclass(ds)
+        rows = np.vstack([ds.features, rng.normal(2.0, 4.0, size=(300, 3))])
+        for machine in model.machines:
+            values = [_svm_decision_one(machine, x) for x in rows]
+            assert np.allclose(svm_decision_value(machine, rows), values, rtol=1e-12, atol=1e-12)
+        expected = [_svm_vote_one(model, x)[2] for x in rows]
+        assert predict_svm(model, rows).tolist() == expected
+
+
+def test_matrix_svm_cyclic_vote_ties_fall_to_magnitude_then_index():
+    # pair (0,1) follows x0, (0,2) follows x1, (1,2) follows x0 + x1: on integer
+    # rows with x0 >= 0, x1 < 0, x0 + x1 >= 0 each class wins once
+    model = SvmMulticlassModel(
+        machines=tuple(_linear_machine(d) for d in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])),
+        class_pairs=((0, 1), (0, 2), (1, 2)),
+        n_classes=3,
+        n_features=2,
+        cost=1.0,
+        kernel=KernelSpec("linear"),
+        class_names=("A", "B", "C"),
+    )
+    grid = np.arange(-3.0, 4.0)
+    rows = np.array([[a, b] for a in grid for b in grid])
+    votes = [_svm_vote_one(model, x) for x in rows]
+    cyclic = [w.max() == w.min() for w, _, _ in votes]
+    magnitude_tie = [
+        c and np.sum(m == m.max()) > 1 for c, (_, m, _) in zip(cyclic, votes)
+    ]
+    assert any(cyclic) and not all(cyclic)
+    assert any(magnitude_tie)
+    assert predict_svm(model, rows).tolist() == [label for _, _, label in votes]
+
+
+def test_matrix_knn_equals_stacked_one_row_oracle_with_ties(monkeypatch):
+    rng = np.random.default_rng(85)
+    train = rng.integers(0, 3, size=(40, 2)).astype(np.float64)  # duplicate rows
+    labels = rng.integers(0, 3, size=40)
+    ds = Dataset(train, labels, _names(2), ("X", "Y", "Z"))
+    rows = np.vstack([train, rng.integers(-1, 4, size=(1200, 2)).astype(np.float64)])
+    for k in (1, 2, 4, 7):
+        model = fit_knn(ds, k=k)
+        oracle = [_knn_one(model, x) for x in rows]
+        expected = [label for _, _, label in oracle]
+        if k > 1:  # distance ties across the k-th neighbor and vote ties both occur
+            assert any(d[k - 1] == d[k] for d, _, _ in oracle)
+            assert any(np.sum(v == v.max()) > 1 for _, v, _ in oracle)
+        assert knn_predict(model, rows).tolist() == expected
+        with monkeypatch.context() as patch:  # blocks of 7 rows, the last one short
+            patch.setattr(margin_instance, "KNN_BLOCK_FLOATS", 7 * 40 * 2)
+            assert knn_predict(model, rows).tolist() == expected
+
+
+def test_one_row_gives_python_int_and_wrong_width_raises():
+    ds = _two_class_blobs(86, n_per=10)
+    svm, knn = fit_svm_multiclass(ds), fit_knn(ds, k=3)
+    for predict, model in ((predict_svm, svm), (knn_predict, knn)):
+        assert type(predict(model, ds.features[0])) is int
+        assert predict(model, ds.features[:1]).shape == (1,)
+        with pytest.raises(ValueError, match="expected 3 feature values, got 2"):
+            predict(model, np.zeros((4, 2)))
+    machine = svm.machines[0]
+    assert isinstance(svm_decision_value(machine, ds.features[0]), float)
+    assert svm_decision_value(machine, ds.features).shape == (20,)
+    assert svm_decision_value(_stub_machine(0.5), np.zeros((3, 2))).tolist() == [0.5] * 3

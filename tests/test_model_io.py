@@ -1,6 +1,9 @@
 """Model bundles: JSON round trips must preserve predictions exactly."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from ecobench import (
     SyntheticSpec,
     generate_ecological,
+    load_csv,
     load_model,
     save_model,
     standardize,
@@ -90,3 +94,131 @@ def test_logistic_round_trip_drops_training_history(tmp_path):
     assert loaded.iterations == model.iterations
     assert loaded.final_loss == model.final_loss
     assert np.array_equal(loaded.weights, model.weights)
+
+
+def _fit_case(name, seed=6):
+    ds = generate_ecological(SyntheticSpec(seed=seed))
+    train, scaling = standardize(ds)
+    spec = make_algorithm(name, **_CASES[name])
+    model = algorithm_adapter(spec.name).fit(train, derive_seed(1, name, "fit"), spec.param_dict())
+    return ds, scaling, model
+
+
+def _assert_identical(got, expected, where="model"):
+    """Same type and value all the way down; arrays equal byte for byte."""
+    assert type(got) is type(expected), where
+    if isinstance(expected, np.ndarray):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), where
+        assert got.tobytes() == expected.tobytes(), where
+    elif isinstance(expected, tuple):
+        assert len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            _assert_identical(g, e, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(expected):
+        for f in dataclasses.fields(expected):
+            if f.name != "loss_history":
+                _assert_identical(getattr(got, f.name), getattr(expected, f.name),
+                                  f"{where}.{f.name}")
+    else:
+        assert got == expected, where
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_round_trip_restores_every_field_exactly(tmp_path, name):
+    ds, scaling, model = _fit_case(name)
+    path = tmp_path / f"{name}.json"
+    save_model(path, name, model, scaling, ds.feature_names, ds.class_names)
+    loaded = load_model(path)
+    _assert_identical(loaded.model, model)
+    _assert_identical(loaded.scaling, scaling, "scaling")
+    if name == "LR":
+        assert loaded.model.loss_history == ()
+
+
+def test_svm_without_support_vectors_round_trips(tmp_path):
+    ds = generate_ecological(SyntheticSpec(seed=6))
+    train, scaling = standardize(ds)
+    model = algorithm_adapter("SVM").fit(train, 0, {"cost": 1e-9})
+    assert all(m.n_support == 0 for m in model.machines)
+    path = tmp_path / "svm.json"
+    save_model(path, "SVM", model, scaling, ds.feature_names, ds.class_names)
+    bundle = load_model(path)
+    direct = algorithm_adapter("SVM").predict(model, scaling.apply(ds.features))
+    assert np.array_equal(bundle.predict(ds.features), direct)
+
+
+def _no_k(record):
+    del record["model"]["k"]
+
+
+def _non_object(record):
+    record["model"] = [1, 2, 3]
+
+
+def _no_model(record):
+    del record["model"]
+
+
+def _no_threshold(record):
+    del record["model"]["trees"][0]["root"]["threshold"]
+
+
+def _text_weights(record):
+    record["model"]["weights"] = "zeros"
+
+
+def _null_bias(record):
+    record["model"]["machines"][1]["bias"] = None
+
+
+def _unknown_algorithm(record):
+    record["algorithm"] = "XX"
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("KNN", _no_k, "model: k: missing"),
+    ("KNN", _non_object, "model: expected an object, got list"),
+    ("NB", _no_model, "model: missing"),
+    ("RF", _no_threshold, "model: trees: root: internal nodes need a feature, a threshold"),
+    ("LR", _text_weights, "model: weights: could not convert string to float"),
+    ("SVM", _null_bias, "model: machines: bias: float() argument"),
+    ("LDA", _unknown_algorithm, "unknown algorithm 'XX'"),
+])
+def test_malformed_bundle_is_a_value_error_naming_the_field(tmp_path, name, damage, message):
+    ds, scaling, model = _fit_case(name)
+    path = tmp_path / f"{name}.json"
+    save_model(path, name, model, scaling, ds.feature_names, ds.class_names)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    damage(record)
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_model(path)
+
+
+# Bundles written by `ecobench fit` at format version 1, with their predictions:
+#   ecobench gen-data --out train.csv --n-per-class 4 --seed 3
+#   ecobench gen-data --out rows.csv --n-per-class 5 --seed 4
+#   ecobench fit --data train.csv --seed 5 --algorithm ALG [--params P] --out NAME.json
+#   ecobench predict --model NAME.json --data rows.csv --out NAME.labels
+# with P n_trees=3 for RF, epochs=50 for ANN, max_iter=200 for LR and
+# kernel=linear for SVM-linear.
+_FORMAT_1 = Path(__file__).parent / "data" / "v1"
+
+
+@pytest.mark.parametrize(
+    "name", ["DT", "RF", "ANN", "SVM", "SVM-linear", "LDA", "KNN", "LR", "NB"]
+)
+def test_format_1_bundles_load_predict_and_resave_unchanged(tmp_path, name):
+    path = _FORMAT_1 / f"{name}.json"
+    bundle = load_model(path)
+    rows = load_csv(_FORMAT_1 / "rows.csv", "sediment")
+    labels = [bundle.class_names[i] for i in bundle.predict(rows.features)]
+    expected = (_FORMAT_1 / f"{name}.labels").read_text(encoding="utf-8").split()
+    assert labels == expected
+    again = tmp_path / "again.json"
+    save_model(again, bundle.algorithm, bundle.model, bundle.scaling,
+               bundle.feature_names, bundle.class_names)
+    assert json.loads(again.read_text(encoding="utf-8")) == json.loads(
+        path.read_text(encoding="utf-8")
+    )
+    assert again.stat().st_size == path.stat().st_size

@@ -276,3 +276,47 @@ def test_fit_validation():
     model = _random_model(11)
     with pytest.raises(ValueError, match="expected 3 feature values"):
         forward(model, [1.0])
+
+
+def _forward_one(model, x):
+    """The one-row forward pass the matrix form replaced."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    hidden = sigmoid(model.hidden_bias + x @ model.input_to_hidden)
+    return model.output_bias + hidden @ model.hidden_to_output
+
+
+def test_matrix_forward_and_predict_equal_stacked_one_row_oracle():
+    rng = np.random.default_rng(71)
+    for seed, c in ((72, 2), (73, 3), (74, 5)):
+        model = _random_model(seed, p=3, q=4, c=c)
+        rows = rng.normal(0.0, 4.0, size=(400, 3))
+        outputs = np.vstack([_forward_one(model, x) for x in rows])
+        assert np.allclose(forward(model, rows), outputs, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(predict_mlp(model, rows), outputs.argmax(axis=1))
+    ds = _blob_dataset(75)
+    model, _ = fit_mlp(ds, q=3, epochs=200, seed=2)
+    expected = [int(np.argmax(_forward_one(model, x))) for x in ds.features]
+    assert predict_mlp(model, ds.features).tolist() == expected
+
+
+def test_matrix_predict_breaks_all_equal_outputs_to_class_zero():
+    model = MlpModel(
+        input_to_hidden=np.random.default_rng(76).normal(size=(2, 3)),
+        hidden_bias=np.zeros(3),
+        hidden_to_output=np.zeros((3, 4)),
+        output_bias=np.full(4, 0.25),
+    )
+    rows = np.random.default_rng(77).normal(size=(30, 2))
+    outputs = np.vstack([_forward_one(model, x) for x in rows])
+    assert np.all(outputs == outputs[:, :1])  # every class ties on every row
+    assert np.array_equal(predict_mlp(model, rows), np.zeros(30))
+
+
+def test_one_row_gives_python_int_and_wrong_width_raises():
+    model = _random_model(78)
+    assert type(predict_mlp(model, [0.1, 0.2, 0.3])) is int
+    assert forward(model, [0.1, 0.2, 0.3]).shape == (2,)
+    assert forward(model, np.zeros((5, 3))).shape == (5, 2)
+    assert predict_mlp(model, np.zeros((1, 3))).shape == (1,)
+    with pytest.raises(ValueError, match="expected 3 feature values, got 2"):
+        predict_mlp(model, np.zeros((4, 2)))
