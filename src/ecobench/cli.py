@@ -24,6 +24,7 @@ from .dataset import (
     SyntheticSpec,
     generate_ecological,
     load_csv,
+    parse_feature_cell,
     save_csv,
     standardize,
     train_test_split,
@@ -261,13 +262,7 @@ def _read_feature_rows(path, bundle) -> np.ndarray:
         if len(row) != len(header):
             raise ValueError(f"row {r + 1}: expected {len(header)} cells, found {len(row)}")
         for j, pos in enumerate(positions):
-            cell = row[pos]
-            try:
-                out[r, j] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"row {r + 1}, column {header[pos]!r}: non-numeric value {cell.strip()!r}"
-                ) from None
+            out[r, j] = parse_feature_cell(row[pos], r + 1, header[pos])
     return out
 
 

@@ -180,6 +180,20 @@ class SyntheticSpec:
     seed: int = 42
 
 
+def parse_feature_cell(cell: str, row: int, column: str) -> float:
+    """A finite float from one CSV feature cell; a ValueError names the
+    1-based row and the column of a non-numeric or non-finite cell."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(
+            f"row {row}, column {column!r}: non-numeric value {cell.strip()!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"row {row}, column {column!r}: non-finite value {cell.strip()!r}")
+    return value
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Read a headered CSV, taking `label_column` as the class and the rest as features.
 
@@ -221,17 +235,7 @@ def load_csv(path, label_column: str) -> Dataset:
                     class_names.append(name)
                 labels[r] = class_names.index(name)
                 continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"row {r + 1}, column {header[i]!r}: non-numeric value {cell.strip()!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"row {r + 1}, column {header[i]!r}: non-finite value {cell.strip()!r}"
-                )
-            features[r, j] = value
+            features[r, j] = parse_feature_cell(cell, r + 1, header[i])
             j += 1
     if len(class_names) < 2:
         raise ValueError(f"need at least 2 distinct classes, found {class_names}")

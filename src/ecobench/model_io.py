@@ -10,8 +10,9 @@ A field whose default is None is left out while it is None (a tree leaf keeps
 only its class and distribution), unless its metadata has "save_none"; a
 field whose metadata has "save": False is not written (LR's loss history)
 and loads as its default. Loading converts each value by the field's type
-hint (arrays load as float64 and a model casts its integer arrays), and a
-malformed file is a ValueError naming the bad field.
+hint (arrays load as float64, a null or bare number in an array field is
+rejected, and a model casts its integer arrays), and a malformed file is a
+ValueError naming the bad field.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _converters(hint):
     """(decode, encode) between a JSON value and a value of type `hint`; an
     encode of None means the value is written as it is."""
     if hint is np.ndarray:
-        return functools.partial(np.array, dtype=np.float64), np.ndarray.tolist
+        return _decode_array, np.ndarray.tolist
     if dataclasses.is_dataclass(hint):
         return functools.partial(_decode, hint), _encode
     if typing.get_origin(hint) is tuple:
@@ -44,6 +45,15 @@ def _converters(hint):
         return (lambda value: tuple(decode(v) for v in value),
                 list if encode is None else lambda value: [encode(v) for v in value])
     return hint, None
+
+
+def _decode_array(value) -> np.ndarray:
+    """A float64 array from a nested list; null or a bare number is no array."""
+    array = np.array(value, dtype=np.float64)
+    if array.ndim == 0:
+        got = "null" if value is None else type(value).__name__
+        raise ValueError(f"expected an array, got {got}")
+    return array
 
 
 @functools.cache

@@ -2,7 +2,9 @@
 
 Single trees split on information gain (entropy, bits); forest trees split on
 Gini impurity and report per-feature importance as the mean decrease in node
-impurity across the ensemble.
+impurity across the ensemble. A forest's trees grow together: each step scores
+the next split of every unfinished tree in one batched array pass, and every
+tree comes out as it would grown alone.
 """
 
 from __future__ import annotations
@@ -145,115 +147,229 @@ def _impurity_of_proportions(p: np.ndarray, criterion: str) -> np.ndarray:
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
-def _best_split(features, onehot, candidates, criterion):
-    """Best (decrease, feature, threshold) over midpoint splits, or None.
+# Floats in the largest array of one batched split pass, the (2, nodes,
+# candidates, cuts, classes) child class counts; a block of nodes stays under
+# it unless one node alone is larger.
+SPLIT_BLOCK_FLOATS = 1 << 14
 
-    Every candidate column is presorted and scored in one array pass: both
-    children of every boundary between distinct sorted values at once.
-    Ties favor the lowest feature index, then the lowest threshold (the
-    first maximum of the feature-major decrease matrix).
+
+def _best_splits(columns, onehot, totals, criterion):
+    """Best midpoint split of every node of a block, in one array pass.
+
+    `columns` (B, k, N) holds each node's k candidate columns, +inf past the
+    node's own rows; `onehot` (B, N, C) holds its one-hot labels (rows past its
+    own are never counted) and `totals` (B, C) its class counts. Each column is
+    presorted and both children of every boundary between distinct sorted
+    values are scored at once. Returns per node the decrease, the candidate's
+    position and the threshold; the decrease is -inf where no boundary exists.
+    Ties favor the lowest candidate position, then the lowest threshold (the
+    first maximum of the node's candidate-major decrease matrix).
     """
-    n, n_classes = onehot.shape
-    columns = features[:, candidates].T
-    ordered = np.sort(columns, axis=1, kind="stable")
-    is_boundary = ordered[:, 1:] > ordered[:, :-1]
-    if not is_boundary.any():
-        return None
-    order = np.argsort(columns, axis=1, kind="stable")
-    total_counts = onehot.sum(axis=0)
-    parent = _impurity_of_proportions(total_counts / n, criterion)
+    n_nodes, k, width = columns.shape
+    n = totals.sum(axis=1)
+    ordered = np.sort(columns, axis=2, kind="stable")
+    cuts = np.arange(width - 1)
+    is_boundary = (ordered[:, :, 1:] > ordered[:, :, :-1]) & (cuts < (n - 1)[:, None])[:, None, :]
+    order = np.argsort(columns, axis=2, kind="stable")
+    parent = _impurity_of_proportions(totals / n[:, None], criterion)
     # counts[0] / counts[1]: class counts left / right of the cut after each
-    # sorted position; sizes holds their exact row totals
-    counts = np.empty((2, columns.shape[0], n - 1, n_classes))
-    np.cumsum(onehot[order[:, :-1]], axis=1, out=counts[0])
-    np.subtract(total_counts, counts[0], out=counts[1])
-    n_left = np.arange(1.0, n)
-    sizes = np.stack([n_left, n - n_left])[:, None, :, None]
-    impurity = _impurity_of_proportions(counts / sizes, criterion)
-    children = (n_left * impurity[0] + (n - n_left) * impurity[1]) / n
-    decreases = np.where(is_boundary, parent - children, -np.inf)
-    f, i = divmod(int(decreases.argmax()), n - 1)
-    threshold = float((ordered[f, i] + ordered[f, i + 1]) / 2.0)
-    return float(decreases[f, i]), int(candidates[f]), threshold
+    # sorted position, then their proportions; every child size is exact
+    counts = np.empty((2, n_nodes, k, width - 1, totals.shape[1]))
+    np.cumsum(onehot[np.arange(n_nodes)[:, None, None], order[:, :, :-1]], axis=2, out=counts[0])
+    np.subtract(totals[:, None, None, :], counts[0], out=counts[1])
+    n_left = cuts + 1.0
+    n_right = np.maximum(n[:, None] - n_left, 1.0)  # clamped only past the node's rows
+    counts[0] /= n_left[:, None]
+    counts[1] /= n_right[:, None, :, None]
+    impurity = _impurity_of_proportions(counts, criterion)
+    children = (n_left * impurity[0] + n_right[:, None, :] * impurity[1]) / n[:, None, None]
+    decreases = np.where(is_boundary, parent[:, None, None] - children, -np.inf)
+    best = decreases.reshape(n_nodes, -1).argmax(axis=1)
+    f, i = np.divmod(best, width - 1)
+    at = np.arange(n_nodes)
+    return decreases[at, f, i], f, (ordered[at, f, i] + ordered[at, f, i + 1]) / 2.0
 
 
-class _TreeBuilder:
-    """Stack-based grower shared by single trees and forest members."""
+class _LockstepGrower:
+    """Grows the trees of a forest (or one tree) together, one split per tree per step.
 
-    def __init__(self, features, labels, n_classes, criterion, max_depth,
-                 min_samples_split, m_try=None, rng=None):
+    A node that passes the leaf tests waits on its tree's explicit stack, and a
+    tree splits those nodes in pre-order, left subtree before right, so a deep
+    tree needs no recursion and its rng draws and importance sums come in the
+    order of a tree grown alone. A node is a contiguous range of its tree's row
+    of `samples`, which its split reorders in place to left rows, then right
+    rows; a stack entry holds the node's id, range, depth and class counts.
+    """
+
+    def __init__(self, features, labels, samples, n_classes, criterion, max_depth,
+                 min_samples_split, m_try=None, rngs=None):
         self.features = features
         self.labels = labels
+        n_trees, self.n_total = samples.shape
+        self.samples = samples
         self.n_classes = n_classes
         self.criterion = criterion
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.m_try = m_try
-        self.rng = rng
-        self.n_total = labels.size
-        self.n_features = features.shape[1]
-        self.importance = np.zeros(self.n_features)
+        self.rngs = rngs
         self.onehot_of = np.eye(n_classes)
+        self.importance = np.zeros((n_trees, features.shape[1]))
+        # per tree, node id -> leaf TreeNode, or (feature, threshold, left id, right id)
+        self.nodes = [[None] for _ in range(n_trees)]
+        self.stacks = [[] for _ in range(n_trees)]
+        self.roots = [None] * n_trees
 
-    def grow(self) -> TreeNode:
-        """Split nodes in pre-order, left subtree before right, from an explicit
-        stack, so a deep tree needs no recursion and the rng draws and importance
-        sums happen in a fixed order; then build the frozen nodes bottom-up."""
-        preorder = []
-        stack = [(np.arange(self.n_total), 0)]
-        while stack:
-            indices, depth = stack.pop()
-            split = self._split(indices, depth)
-            if isinstance(split, TreeNode):
-                preorder.append(split)
-                continue
-            feature, threshold, go_left = split
-            preorder.append((feature, threshold))
-            stack.append((indices[~go_left], depth + 1))
-            stack.append((indices[go_left], depth + 1))
-        # in reversed pre-order both subtrees of a split are built before it,
-        # its left child on top of the stack
-        built = []
-        for entry in reversed(preorder):
-            if not isinstance(entry, TreeNode):
-                left = built.pop()
-                right = built.pop()
-                entry = TreeNode(feature_index=entry[0], threshold=entry[1], left=left, right=right)
-            built.append(entry)
-        return built.pop()
+    def grow(self):
+        """Every tree's root and the (trees, features) importance matrix.
 
-    def _leaf(self, counts, n) -> TreeNode:
-        return TreeNode(class_index=int(np.argmax(counts)), class_distribution=counts / n)
+        A step pops the top node of every unfinished tree's stack, draws each
+        node's candidates from its own tree's rng and scores all of them in
+        batched split passes. Nodes whose drawn columns are all constant are
+        scored again over every feature, so a splittable impure node never
+        turns into a leaf.
+        """
+        n_trees, n_features = self.importance.shape
+        trees = np.arange(n_trees)
+        counts = np.bincount(
+            (trees[:, None] * self.n_classes + self.labels[self.samples]).ravel(),
+            minlength=n_trees * self.n_classes,
+        ).reshape(n_trees, self.n_classes).astype(np.float64)
+        zeros = np.zeros(n_trees, dtype=np.int64)
+        self._place(trees, zeros, zeros, np.full(n_trees, self.n_total), zeros, counts)
+        active = self._unfinished(range(n_trees))
+        draws = self.m_try is not None and self.m_try < n_features
+        while active:
+            ids, start, end, depth, counts = zip(*(self.stacks[t].pop() for t in active))
+            tree, ids, start, end, depth = map(np.array, (active, ids, start, end, depth))
+            counts = np.array(counts)
+            size = end - start
+            step = (tree, start, size, counts)
+            # per popped node: decrease (-inf until a split is found), feature,
+            # threshold, left child's row count and left child's class counts
+            best = (np.full(tree.size, -np.inf), np.zeros(tree.size, dtype=np.int64),
+                    np.zeros(tree.size), np.zeros(tree.size, dtype=np.int64), np.zeros_like(counts))
+            decrease, feature, threshold, n_left, left_counts = best
+            nodes = np.arange(tree.size)
+            if draws:
+                candidates = np.array([
+                    self.rngs[t].choice(n_features, self.m_try, replace=False) for t in active
+                ])
+                candidates.sort(axis=1)
+                self._score(nodes, candidates, step, best)
+                nodes = np.nonzero(decrease == -np.inf)[0]
+            if nodes.size:
+                self._score(nodes, np.repeat(np.arange(n_features)[None, :], nodes.size, axis=0),
+                            step, best)
 
-    def _split(self, indices, depth):
-        """A leaf for these rows, or their best (feature, threshold, go-left mask)."""
-        labels = self.labels[indices]
-        n = indices.size
-        counts = np.bincount(labels, minlength=self.n_classes).astype(np.float64)
-        if (
-            counts.max() == n
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or n < self.min_samples_split
-        ):
-            return self._leaf(counts, n)
+            found = decrease > -np.inf
+            self._leaves(tree[~found], ids[~found], counts[~found], size[~found])
+            split = np.nonzero(found)[0]
+            left_ids = []
+            for t, i, n, dec, f, thr in zip(
+                tree[split].tolist(), ids[split].tolist(), size[split].tolist(),
+                decrease[split].tolist(), feature[split].tolist(), threshold[split].tolist(),
+            ):
+                self.importance[t, f] += (n / self.n_total) * max(dec, 0.0)
+                nodes_of_tree = self.nodes[t]
+                left = len(nodes_of_tree)
+                nodes_of_tree[i] = (f, thr, left, left + 1)
+                nodes_of_tree += [None, None]
+                left_ids.append(left)
+            # every right child is stacked before its left sibling, which ends on top
+            tree, start, end, depth = tree[split], start[split], end[split], depth[split] + 1
+            middle = start + n_left[split]
+            left_ids = np.array(left_ids, dtype=np.int64)
+            self._place(
+                np.concatenate([tree, tree]),
+                np.concatenate([left_ids + 1, left_ids]),
+                np.concatenate([middle, start]),
+                np.concatenate([end, middle]),
+                np.concatenate([depth, depth]),
+                np.concatenate([counts[split] - left_counts[split], left_counts[split]]),
+            )
+            active = self._unfinished(active)
+        return self.roots, self.importance
 
-        features = self.features[indices]
-        onehot = self.onehot_of[labels]
-        if self.m_try is not None and self.m_try < self.n_features:
-            candidates = np.sort(self.rng.choice(self.n_features, self.m_try, replace=False))
-            best = _best_split(features, onehot, candidates, self.criterion)
-            if best is None:
-                # subset had only constant columns here; widen so a splittable
-                # impure node never turns into a leaf
-                best = _best_split(features, onehot, range(self.n_features), self.criterion)
-        else:
-            best = _best_split(features, onehot, range(self.n_features), self.criterion)
-        if best is None:
-            return self._leaf(counts, n)
+    def _place(self, tree, ids, start, end, depth, counts):
+        """Turn the nodes that fail a split test into leaves; stack the others."""
+        size = end - start
+        leaf = (counts.max(axis=1) == size) | (size < self.min_samples_split)
+        if self.max_depth is not None:
+            leaf |= depth >= self.max_depth
+        self._leaves(tree[leaf], ids[leaf], counts[leaf], size[leaf])
+        keep = ~leaf
+        for t, *entry in zip(tree[keep].tolist(), ids[keep].tolist(), start[keep].tolist(),
+                             end[keep].tolist(), depth[keep].tolist(), counts[keep].tolist()):
+            self.stacks[t].append(entry)
 
-        decrease, feature, threshold = best
-        self.importance[feature] += (n / self.n_total) * max(decrease, 0.0)
-        return feature, threshold, features[:, feature] <= threshold
+    def _leaves(self, tree, ids, counts, size):
+        """Leaf nodes, each of the majority class (ties to the lowest index)."""
+        classes = counts.argmax(axis=1).tolist()
+        distributions = counts / size[:, None]
+        for t, i, c, distribution in zip(tree.tolist(), ids.tolist(), classes, distributions):
+            self.nodes[t][i] = TreeNode(class_index=c, class_distribution=distribution)
+
+    def _unfinished(self, trees):
+        """The trees with nodes left to split; the others are assembled."""
+        active = []
+        for t in trees:
+            if self.stacks[t]:
+                active.append(t)
+            else:
+                self.roots[t] = _assemble(self.nodes[t])
+                self.nodes[t] = None
+        return active
+
+    def _score(self, nodes, candidates, step, best):
+        """Score each of `nodes` (step positions) over its row of `candidates`,
+        write the found splits into `best` and reorder their rows. Nodes go in
+        blocks of about equal size, each padded only to its own largest node."""
+        tree, start, size, counts = step
+        order = np.argsort(size[nodes], kind="stable")
+        nodes, candidates = nodes[order], candidates[order]
+        widths = size[nodes]
+        # size classes (2^(e-1), 2^e]: a block pads each node to under twice its rows
+        size_class = np.frexp(widths - 1.0)[1]
+        bounds = (np.nonzero(size_class[1:] != size_class[:-1])[0] + 1).tolist()
+        for lo, hi in zip([0] + bounds, bounds + [nodes.size]):
+            width = int(widths[hi - 1])
+            per_node = 2 * candidates.shape[1] * (width - 1) * self.n_classes
+            per_block = max(1, SPLIT_BLOCK_FLOATS // per_node)
+            for first in range(lo, hi, per_block):
+                block = slice(first, min(first + per_block, hi))
+                b, drawn = nodes[block], candidates[block]
+                cut = np.arange(width)
+                own = cut < size[b, None]
+                pos = start[b, None] + cut * own  # padding repeats the node's first row
+                rows = self.samples[tree[b, None], pos]
+                columns = self.features[rows[:, None, :], drawn[:, :, None]]
+                np.copyto(columns, np.inf, where=~own[:, None, :])
+                onehot = self.onehot_of[self.labels[rows]]
+                decrease, f, threshold = _best_splits(columns, onehot, counts[b], self.criterion)
+                at = np.arange(b.size)
+                # a node without a boundary has one value per column, so its
+                # rows all fall on one side and keep their order
+                go_left = columns[at, f] <= threshold[:, None]
+                reordered = rows[at[:, None], np.argsort(~go_left, axis=1, kind="stable")]
+                # padding writes the node's new first row over itself
+                self.samples[tree[b, None], pos] = np.where(own, reordered, reordered[:, :1])
+                best[0][b] = decrease
+                best[1][b] = drawn[at, f]
+                best[2][b] = threshold
+                best[3][b] = go_left.sum(axis=1)
+                best[4][b] = (go_left[:, None, :] @ onehot)[:, 0]  # exact: sums of 0s and 1s
+
+
+def _assemble(nodes) -> TreeNode:
+    """The frozen root of a tree from its nodes by id. A child's id is larger
+    than its parent's, so building in reverse id order needs no recursion."""
+    for i in range(len(nodes) - 1, -1, -1):
+        if not isinstance(nodes[i], TreeNode):
+            feature, threshold, left, right = nodes[i]
+            nodes[i] = TreeNode(feature_index=feature, threshold=threshold,
+                                left=nodes[left], right=nodes[right])
+    return nodes[0]
 
 
 def fit_decision_tree(
@@ -272,11 +388,12 @@ def fit_decision_tree(
         raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
     if criterion not in ("entropy", "gini"):
         raise ValueError(f"criterion must be 'entropy' or 'gini', got {criterion!r}")
-    builder = _TreeBuilder(
-        ds.features, ds.labels, ds.n_classes, criterion, max_depth, min_samples_split
-    )
+    (root,), _ = _LockstepGrower(
+        ds.features, ds.labels, np.arange(ds.n_samples)[None, :], ds.n_classes, criterion,
+        max_depth, min_samples_split,
+    ).grow()
     return DecisionTreeModel(
-        root=builder.grow(),
+        root=root,
         n_features=ds.n_features,
         n_classes=ds.n_classes,
         criterion=criterion,
@@ -336,34 +453,29 @@ def fit_random_forest(
         raise ValueError(f"m_try must be in [1, {p}], got {m_try}")
 
     n = ds.n_samples
-    children = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
+    if bootstrap:
+        samples = np.array([rng.integers(0, n, size=n) for rng in rngs])
+    else:
+        samples = np.tile(np.arange(n), (n_trees, 1))
+    roots, per_tree = _LockstepGrower(
+        ds.features, ds.labels, samples, ds.n_classes, "gini", max_depth, min_samples_split,
+        m_try=m_try, rngs=rngs,
+    ).grow()
+    trees = [
+        DecisionTreeModel(
+            root=root,
+            n_features=p,
+            n_classes=ds.n_classes,
+            criterion="gini",
+            max_depth=max_depth,
+            min_samples_split=min_samples_split,
+        )
+        for root in roots
+    ]
     importance = np.zeros(p)
-    for t in range(n_trees):
-        rng = np.random.default_rng(children[t])
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        builder = _TreeBuilder(
-            ds.features[rows],
-            ds.labels[rows],
-            ds.n_classes,
-            "gini",
-            max_depth,
-            min_samples_split,
-            m_try=m_try,
-            rng=rng,
-        )
-        root = builder.grow()
-        importance += builder.importance
-        trees.append(
-            DecisionTreeModel(
-                root=root,
-                n_features=p,
-                n_classes=ds.n_classes,
-                criterion="gini",
-                max_depth=max_depth,
-                min_samples_split=min_samples_split,
-            )
-        )
+    for row in per_tree:  # summed in tree order, one tree at a time
+        importance += row
     importance = np.maximum(importance / n_trees, 0.0)
     return ForestModel(
         trees=tuple(trees),

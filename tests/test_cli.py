@@ -287,6 +287,26 @@ def test_predict_rejects_width_mismatch(tmp_path, capsys):
     assert "model expects 8 feature columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["lda", "knn", "nb"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_predict_rejects_non_finite_cells(tmp_path, capsys, algorithm, cell):
+    data = _gen(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert entry(["fit", "--data", str(data), "--algorithm", algorithm,
+                  "--out", str(model_path)]) == 0
+    header, first, *_ = data.read_text(encoding="utf-8").splitlines()
+    name = header.split(",")[2]
+    cells = first.split(",")
+    cells[2] = cell
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"{header}\n{first}\n{','.join(cells)}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert entry(["predict", "--model", str(model_path), "--data", str(rows)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: row 2, column {name!r}: non-finite value {cell!r}\n"
+    assert captured.out == ""
+
+
 def test_cli_surface_errors_exit_1(tmp_path, capsys):
     assert entry(["predict", "--model", str(tmp_path / "no.json"),
                   "--data", str(tmp_path / "no.csv")]) == 1

@@ -175,6 +175,14 @@ def _unknown_algorithm(record):
     record["algorithm"] = "XX"
 
 
+def _null_priors(record):
+    record["model"]["priors"] = None
+
+
+def _number_priors(record):
+    record["model"]["priors"] = 0.5
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("KNN", _no_k, "model: k: missing"),
     ("KNN", _non_object, "model: expected an object, got list"),
@@ -183,6 +191,8 @@ def _unknown_algorithm(record):
     ("LR", _text_weights, "model: weights: could not convert string to float"),
     ("SVM", _null_bias, "model: machines: bias: float() argument"),
     ("LDA", _unknown_algorithm, "unknown algorithm 'XX'"),
+    ("NB", _null_priors, "model: priors: expected an array, got null"),
+    ("NB", _number_priors, "model: priors: expected an array, got float"),
 ])
 def test_malformed_bundle_is_a_value_error_naming_the_field(tmp_path, name, damage, message):
     ds, scaling, model = _fit_case(name)

@@ -16,8 +16,9 @@ from ecobench import (
     predict_forest,
     predict_tree,
 )
+from ecobench import trees
 from ecobench.dataset import _CLASS_NAME_POOL
-from ecobench.trees import _best_split
+from ecobench.trees import TreeNode, _best_splits
 
 
 def _names(p):
@@ -215,7 +216,12 @@ def test_best_split_is_bit_identical_to_per_feature_loop():
         for candidates in [range(p)] + subsets:
             for criterion in ("gini", "entropy"):
                 expected = _best_split_loop(features, onehot, candidates, criterion)
-                got = _best_split(features, onehot, candidates, criterion)
+                block = _best_splits(
+                    features[:, list(candidates)].T[None], onehot[None], onehot.sum(axis=0)[None],
+                    criterion,
+                )
+                decrease, f, threshold = (value[0] for value in block)
+                got = None if decrease == -np.inf else (decrease, candidates[f], threshold)
                 compared += 1
                 if expected is None:
                     assert got is None
@@ -231,6 +237,226 @@ def test_best_split_is_bit_identical_to_per_feature_loop():
                 )
         reorder_sensitive += c >= 8 and _sequential_class_sum_differs(onehot)
     assert compared > 300 and nones > 0 and feature_ties > 0 and reorder_sensitive > 0
+
+
+class _PerNodeGrower:
+    """Reference grower: one node of one tree per iteration, in pre-order from an
+    explicit stack, splitting with the per-feature loop. `events` counts the
+    nodes that widened their drawn candidates and the impure nodes left as
+    leaves because no column had two distinct values."""
+
+    def __init__(self, features, labels, n_classes, criterion, max_depth,
+                 min_samples_split, m_try=None, rng=None, events=None):
+        self.features = features
+        self.labels = labels
+        self.n_classes = n_classes
+        self.criterion = criterion
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.m_try = m_try
+        self.rng = rng
+        self.events = events if events is not None else {}
+        self.n_total = labels.size
+        self.n_features = features.shape[1]
+        self.importance = np.zeros(self.n_features)
+
+    def grow(self):
+        preorder = []
+        stack = [(np.arange(self.n_total), 0)]
+        while stack:
+            indices, depth = stack.pop()
+            split = self._split(indices, depth)
+            if isinstance(split, TreeNode):
+                preorder.append(split)
+                continue
+            feature, threshold, go_left = split
+            preorder.append((feature, threshold))
+            stack.append((indices[~go_left], depth + 1))
+            stack.append((indices[go_left], depth + 1))
+        built = []
+        for entry in reversed(preorder):
+            if not isinstance(entry, TreeNode):
+                left = built.pop()
+                right = built.pop()
+                entry = TreeNode(feature_index=entry[0], threshold=entry[1], left=left, right=right)
+            built.append(entry)
+        return built.pop()
+
+    def _split(self, indices, depth):
+        labels = self.labels[indices]
+        n = indices.size
+        counts = np.bincount(labels, minlength=self.n_classes).astype(np.float64)
+        if (
+            counts.max() == n
+            or (self.max_depth is not None and depth >= self.max_depth)
+            or n < self.min_samples_split
+        ):
+            return TreeNode(class_index=int(np.argmax(counts)), class_distribution=counts / n)
+        features = self.features[indices]
+        onehot = np.eye(self.n_classes)[labels]
+        every = range(self.n_features)
+        if self.m_try is not None and self.m_try < self.n_features:
+            candidates = np.sort(self.rng.choice(self.n_features, self.m_try, replace=False))
+            best = _best_split_loop(features, onehot, candidates, self.criterion)
+            if best is None:
+                self.events["widened"] = self.events.get("widened", 0) + 1
+                best = _best_split_loop(features, onehot, every, self.criterion)
+        else:
+            best = _best_split_loop(features, onehot, every, self.criterion)
+        if best is None:
+            self.events["impure_leaves"] = self.events.get("impure_leaves", 0) + 1
+            return TreeNode(class_index=int(np.argmax(counts)), class_distribution=counts / n)
+        decrease, feature, threshold = best
+        self.events["negative"] = self.events.get("negative", 0) + (decrease < 0)
+        go_left = features[:, feature] <= threshold
+        self.events["at_threshold"] = self.events.get("at_threshold", 0) + bool(
+            np.any(features[go_left, feature] == threshold)
+        )
+        self.importance[feature] += (n / self.n_total) * max(decrease, 0.0)
+        return feature, threshold, go_left
+
+
+def _per_node_forest(ds, n_trees, m_try, seed, bootstrap=True, max_depth=None,
+                     min_samples_split=2, events=None):
+    """Roots and importance of `fit_random_forest`, one tree after another."""
+    children = np.random.SeedSequence(seed).spawn(n_trees)
+    roots, importance = [], np.zeros(ds.n_features)
+    for child in children:
+        rng = np.random.default_rng(child)
+        n = ds.n_samples
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        grower = _PerNodeGrower(ds.features[rows], ds.labels[rows], ds.n_classes, "gini",
+                                max_depth, min_samples_split, m_try=m_try, rng=rng, events=events)
+        roots.append(grower.grow())
+        importance += grower.importance
+    return roots, np.maximum(importance / n_trees, 0.0)
+
+
+def _assert_same_nodes(got, expected):
+    """Node for node: feature, threshold bits, leaf class and distribution bytes."""
+    stack = [(got, expected)]
+    while stack:
+        a, b = stack.pop()
+        assert a.is_leaf == b.is_leaf
+        if b.is_leaf:
+            assert type(a.class_index) is int and a.class_index == b.class_index
+            assert a.class_distribution.dtype == b.class_distribution.dtype
+            assert a.class_distribution.shape == b.class_distribution.shape
+            assert a.class_distribution.tobytes() == b.class_distribution.tobytes()
+        else:
+            assert type(a.feature_index) is int and a.feature_index == b.feature_index
+            assert type(a.threshold) is float
+            assert np.float64(a.threshold).tobytes() == np.float64(b.threshold).tobytes()
+            stack += [(a.right, b.right), (a.left, b.left)]
+
+
+def _growth_tables(rng, sizes=(2, 3, 5, 12, 30, 64, 200)):
+    """Datasets with continuous, few-level, constant and duplicated columns,
+    and rows that repeat with different labels, at each size; then a column of
+    two adjacent doubles, whose midpoint rounds onto the lower one, and a
+    table whose second Gini split keeps its parent's class mix (a decrease
+    that rounds below zero) after a first split on the same feature."""
+    for n in sizes:
+        for trial in range(3):
+            p = int(rng.integers(1, 7))
+            c = int(rng.integers(2, 6))
+            if trial == 0:
+                x = rng.normal(size=(n, p))
+            else:
+                x = rng.integers(0, int(rng.integers(2, 5)), size=(n, p)).astype(float)
+            if trial == 2 and p > 1:
+                x[:, rng.random(p) < 0.5] = 1.5
+                x[:, -1] = x[:, 0]
+            y = rng.integers(0, c, size=n)
+            y[: min(2, n)] = [0, c - 1][: min(2, n)]
+            yield Dataset(x, y, _names(p), tuple(f"c{j}" for j in range(c)))
+    adjacent = 1.0 + (np.arange(12.0) % 2)[:, None] * np.finfo(float).eps
+    yield Dataset(adjacent, np.arange(12) % 3 == 0, _names(1), ("A", "B"))
+    x = np.repeat([0.0, 1.0, 2.0], [9, 15, 10])[:, None]
+    yield Dataset(x, np.r_[np.arange(24) % 3, np.zeros(10, int)], _names(1), ("A", "B", "C"))
+
+
+def test_lockstep_tree_matches_per_node_grower():
+    events = {}
+    rng = np.random.default_rng(7)
+    tables = list(_growth_tables(rng)) + [_blob_dataset(3, n_per=300, p=3, gap=1.0)]
+    for ds in tables:
+        for criterion in ("entropy", "gini"):
+            for max_depth, min_samples_split in ((None, 2), (3, 5)):
+                model = fit_decision_tree(ds, max_depth=max_depth, criterion=criterion,
+                                          min_samples_split=min_samples_split)
+                grower = _PerNodeGrower(ds.features, ds.labels, ds.n_classes, criterion,
+                                        max_depth, min_samples_split, events=events)
+                _assert_same_nodes(model.root, grower.grow())
+    assert tables[-1].n_samples == 900
+    assert events["impure_leaves"] > 0 and events["at_threshold"] > 0
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"m_try": "p"},
+    {"bootstrap": False, "m_try": 1},
+    {"max_depth": 2},
+    {"min_samples_split": 6},
+])
+def test_lockstep_forest_matches_per_tree_grower(settings):
+    events = {}
+    rng = np.random.default_rng(11)
+    tables = list(_growth_tables(rng)) + [_blob_dataset(5, n_per=300, p=5, gap=1.0)]
+    for seed, ds in enumerate(tables):
+        kwargs = dict(settings)
+        if kwargs.get("m_try") == "p":
+            kwargs["m_try"] = ds.n_features
+        n_trees = 3 if ds.n_samples > 200 else 7
+        model = fit_random_forest(ds, n_trees=n_trees, seed=seed, **kwargs)
+        kwargs.pop("m_try", None)
+        roots, importance = _per_node_forest(ds, n_trees, model.m_try, seed, events=events,
+                                             **kwargs)
+        for tree, root in zip(model.trees, roots):
+            _assert_same_nodes(tree.root, root)
+        assert model.importance.tobytes() == importance.tobytes()
+    if "m_try" not in settings:
+        assert events["widened"] > 0
+    if settings.get("bootstrap") is False:
+        assert events["negative"] > 0
+
+
+def test_lockstep_forest_in_many_blocks_matches_per_tree_grower(monkeypatch):
+    blocks = []
+    best_splits = trees._best_splits
+
+    def recording(columns, onehot, totals, criterion):
+        # each block pads its nodes to under twice their own row counts
+        assert columns.shape[2] < 2 * totals.sum(axis=1).min()
+        blocks.append(columns.shape)
+        return best_splits(columns, onehot, totals, criterion)
+
+    monkeypatch.setattr(trees, "_best_splits", recording)
+    ds = _blob_dataset(9, n_per=25, p=6, gap=1.5)
+    roots, importance = _per_node_forest(ds, 40, 2, 4)
+    for budget in (1, 600, trees.SPLIT_BLOCK_FLOATS):
+        monkeypatch.setattr(trees, "SPLIT_BLOCK_FLOATS", budget)
+        blocks.clear()
+        model = fit_random_forest(ds, n_trees=40, m_try=2, seed=4)
+        for tree, root in zip(model.trees, roots):
+            _assert_same_nodes(tree.root, root)
+        assert model.importance.tobytes() == importance.tobytes()
+        widest = max(nodes for nodes, _, _ in blocks)
+        if budget == 1:
+            assert widest == 1
+        else:
+            assert widest > 1 and all(
+                nodes * 2 * k * (width - 1) * ds.n_classes <= budget
+                for nodes, k, width in blocks if nodes > 1
+            )
+
+
+def test_first_trees_of_a_forest_equal_a_smaller_forest():
+    ds = _blob_dataset(21, n_per=15, p=5, gap=1.0)
+    small = fit_random_forest(ds, n_trees=4, seed=8)
+    large = fit_random_forest(ds, n_trees=13, seed=8)
+    for a, b in zip(small.trees, large.trees[:4]):
+        _assert_same_nodes(a.root, b.root)
 
 
 def test_tree_depth_and_split_size_limits():
