@@ -98,6 +98,15 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.feature_names, self.class_names)
 
 
+def stack_datasets(datasets) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n, p) features and (k, n) labels of k datasets of one shape, the
+    input of a model's stacked fit."""
+    shape = (datasets[0].features.shape, datasets[0].n_classes)
+    if any((ds.features.shape, ds.n_classes) != shape for ds in datasets):
+        raise ValueError("stacked datasets must share their row, feature and class counts")
+    return np.stack([ds.features for ds in datasets]), np.stack([ds.labels for ds in datasets])
+
+
 @dataclass(frozen=True)
 class ScalingParams:
     """Per-column means and sample standard deviations used for standardization."""

@@ -21,6 +21,7 @@ from .linear_prob import (
     NaiveBayesModel,
     fit_lda,
     fit_logistic,
+    fit_logistic_stacked,
     fit_naive_bayes,
     predict_lda,
     predict_logistic,
@@ -37,7 +38,7 @@ from .margin_instance import (
     predict_svm,
 )
 from .metrics import BinaryAggregates, MeasureSet, confusion_matrix, macro_aggregate, measures
-from .neural import MlpModel, fit_mlp, predict_mlp
+from .neural import MlpModel, fit_mlp, fit_mlp_stacked, predict_mlp
 from .trees import (
     DecisionTreeModel,
     ForestModel,
@@ -137,6 +138,10 @@ def _fit_svm(train: Dataset, seed: int, params: dict):
     return fit_svm_multiclass(train, **params)
 
 
+# The errors a cell reports as an error row; anything else is a fault in the program.
+CELL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RecursionError)
+
+
 @dataclass(frozen=True)
 class AlgorithmAdapter:
     name: str
@@ -144,9 +149,35 @@ class AlgorithmAdapter:
     fit: object
     predict_rows: object  # the module's predictor: one row -> int, (m, p) matrix -> (m,) labels
     param_names: tuple[str, ...]
+    # (trains, seed, params) -> per train its model or ValueError, for trains of
+    # one shape fit in one loop; None fits one train at a time with `fit`
+    fit_stacked: object = None
 
     def predict(self, model, features: np.ndarray) -> np.ndarray:
         return self.predict_rows(model, np.atleast_2d(features))
+
+    def fit_folds(self, trains, seed: int, params: dict):
+        """Per training set, in order, the model `fit` gives it or the error it
+        raises. A stacked fit takes all trains of one row count in one call
+        when the first result is asked for; otherwise each train is fit only
+        when its result is asked for, so a caller that scores each fold before
+        asking for the next never holds every fold's model (a forest each, for
+        RF) at once."""
+        if self.fit_stacked is None:
+            for train in trains:
+                try:
+                    yield self.fit(train, seed, params)
+                except CELL_ERRORS as exc:
+                    yield exc
+            return
+        results = [None] * len(trains)
+        sizes = [train.n_samples for train in trains]
+        for size in dict.fromkeys(sizes):
+            group = [i for i, n in enumerate(sizes) if n == size]
+            fitted = self.fit_stacked(tuple(trains[i] for i in group), seed, params)
+            for i, result in zip(group, fitted):
+                results[i] = result
+        yield from results
 
 
 _REGISTRY = {
@@ -170,6 +201,10 @@ _REGISTRY = {
         lambda train, seed, p: fit_mlp(train, seed=seed, **p)[0],
         predict_mlp,
         ("q", "epochs", "learning_rate", "init_scale"),
+        lambda trains, seed, p: [
+            r if isinstance(r, ValueError) else r[0]
+            for r in fit_mlp_stacked(trains, seed=seed, **p)
+        ],
     ),
     "SVM": AlgorithmAdapter(
         "SVM",
@@ -198,6 +233,7 @@ _REGISTRY = {
         lambda train, seed, p: fit_logistic(train, **p),
         predict_logistic,
         ("learning_rate", "max_iter", "tolerance"),
+        lambda trains, seed, p: fit_logistic_stacked(trains, **p),
     ),
     "NB": AlgorithmAdapter(
         "NB",
@@ -264,13 +300,26 @@ def _cell_predictions(ds: Dataset, adapter: AlgorithmAdapter, params: dict,
         train, scaling = standardize(train_raw)
         model = adapter.fit(train, seed, params)
         return test_raw.labels, adapter.predict(model, scaling.apply(test_raw.features))
+    # A stacked fit fits its folds before any is scored, but the error raised
+    # is the one a fold-by-fold run (standardize, fit, predict) meets first;
+    # folds after one that cannot be standardized are never fit.
     plan = k_fold(ds, kind.folds, split_seed)
+    scaled, unscalable = [], None
+    for i in range(plan.k):
+        try:
+            scaled.append(standardize(ds.subset(plan.train_indices(i))))
+        except CELL_ERRORS as exc:
+            unscalable = exc
+            break
+    fitted = adapter.fit_folds([train for train, _ in scaled], seed, params)
     actual_parts, predicted_parts = [], []
-    for i, fold in enumerate(plan.folds):
-        train, scaling = standardize(ds.subset(plan.train_indices(i)))
-        model = adapter.fit(train, seed, params)
+    for fold, (_, scaling), model in zip(plan.folds, scaled, fitted):
+        if isinstance(model, CELL_ERRORS):
+            raise model
         actual_parts.append(ds.labels[fold])
         predicted_parts.append(adapter.predict(model, scaling.apply(ds.features[fold])))
+    if unscalable is not None:
+        raise unscalable
     return np.concatenate(actual_parts), np.concatenate(predicted_parts)
 
 
@@ -293,7 +342,7 @@ def run_process(
         cm = confusion_matrix(actual, predicted, ds.n_classes)
         agg = macro_aggregate(cm)
         found = measures(agg)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError, RecursionError) as exc:
+    except CELL_ERRORS as exc:
         wall_ms = (time.perf_counter() - start) * 1000.0
         return ReportRow(algorithm.name, kind.name, None, None, wall_ms, seed, error=str(exc))
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .dataset import Dataset, as_rows, top_class
+from .dataset import Dataset, as_rows, stack_datasets, top_class
 
 LDA_REGULARIZATION_EPSILON = 1e-8
 
@@ -190,30 +191,33 @@ class LogisticModel:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _logistic_kernel(w, design, onehot, picked):
-    """Mean cross-entropy and its gradient from the `[1 | X]` design matrix,
-    the one-hot labels and the (row, label) index of each row's true class;
-    the pinned last row's gradient is 0."""
-    n = design.shape[0]
-    probs = _softmax_rows(design @ w.T)
-    loss = float(-np.mean(np.log(probs[picked] + 1e-300)))
-    grad = (probs - onehot).T @ design / n
-    grad[-1] = 0.0
-    return loss, grad
+    """Mean cross-entropy of each stacked fold (a list of floats) and the
+    stacked gradient, from the (k, n, p+1) `[1 | X]` designs, the one-hot
+    labels and the flat index of each row's true-class probability; the pinned
+    last rows' gradient is 0."""
+    n = design.shape[1]
+    probs = _softmax_rows(design @ w.transpose(0, 2, 1))
+    # a row sum over n then one division is bit for bit `np.mean` of that row
+    losses = [-(s / n) for s in np.log(probs.take(picked) + 1e-300).sum(axis=1).tolist()]
+    grad = (probs - onehot).transpose(0, 2, 1) @ design / n
+    grad[:, -1] = 0.0
+    return losses, grad
 
 
 def _logistic_inputs(features, labels, n_classes):
-    """The weight-independent inputs of `_logistic_kernel`, built once per fit."""
-    n = features.shape[0]
-    design = np.hstack([np.ones((n, 1)), features])
-    picked = (np.arange(n), labels)
-    onehot = np.zeros((n, n_classes))
-    onehot[picked] = 1.0
+    """The weight-independent inputs of `_logistic_kernel` for stacked
+    (k, n, p) features and (k, n) labels, built once per stack."""
+    k, n = labels.shape
+    design = np.concatenate([np.ones((k, n, 1)), features], axis=2)
+    picked = (np.arange(k)[:, None] * n + np.arange(n)) * n_classes + labels
+    onehot = np.zeros((k, n, n_classes))
+    np.put(onehot, picked, 1.0)
     return design, onehot, picked
 
 
@@ -222,7 +226,8 @@ def logistic_loss_and_gradient(weights, features, labels):
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    return _logistic_kernel(w, *_logistic_inputs(x, y, w.shape[0]))
+    (loss,), grad = _logistic_kernel(w[None], *_logistic_inputs(x[None], y[None], w.shape[0]))
+    return loss, grad[0]
 
 
 def fit_logistic(
@@ -236,31 +241,75 @@ def fit_logistic(
 
     Expects standardized features; the benchmark harness standardizes.
     """
-    if ds.n_samples < ds.n_classes:
-        raise ValueError(f"need at least as many samples as classes, got n={ds.n_samples}")
-    if learning_rate <= 0 or max_iter < 0 or tolerance < 0:
-        raise ValueError("learning_rate must be positive, max_iter and tolerance nonnegative")
-    c, p = ds.n_classes, ds.n_features
-    inputs = _logistic_inputs(ds.features, ds.labels, c)
-    w = np.zeros((c, p + 1))
-    history = []
-    prev = None
-    iterations = 0
-    for it in range(max_iter):
-        loss, grad = _logistic_kernel(w, *inputs)
-        if not np.isfinite(loss):
-            raise ValueError(f"training loss became non-finite at iteration {it}")
-        history.append(loss)
-        if prev is not None and 0.0 <= prev - loss < tolerance:
+    (result,) = fit_logistic_stacked((ds,), learning_rate, max_iter, tolerance)
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def fit_logistic_stacked(
+    datasets,
+    learning_rate: float = 0.1,
+    max_iter: int = 5000,
+    tolerance: float = 1e-8,
+) -> tuple[LogisticModel | ValueError, ...]:
+    """`fit_logistic` on each of several datasets of one shape, in one loop.
+
+    The designs are stacked as one (k, n, p+1) array, so each iteration is a
+    few batched products for all of them. A dataset leaves the stack when its
+    own loss settles or turns non-finite, and its model is bit for bit the one
+    `fit_logistic` gives it alone. Returns, per dataset in order, its model or
+    the ValueError its own fit raises.
+    """
+    results = []
+    for ds in datasets:
+        if ds.n_samples < ds.n_classes:
+            results.append(ValueError(
+                f"need at least as many samples as classes, got n={ds.n_samples}"))
+        elif learning_rate <= 0 or max_iter < 0 or tolerance < 0:
+            results.append(ValueError(
+                "learning_rate must be positive, max_iter and tolerance nonnegative"))
+        else:
+            results.append(None)
+    live = [j for j, result in enumerate(results) if result is None]
+    if not live:
+        return tuple(results)
+    features, labels = stack_datasets([datasets[j] for j in live])
+    c, p = datasets[live[0]].n_classes, features.shape[2]
+    inputs = _logistic_inputs(features, labels, c)
+    w = np.zeros((len(live), c, p + 1))
+    histories = [[] for _ in live]
+    prev = [math.inf] * len(live)  # no settling test before the first step
+    for it in range(max_iter + 1):
+        losses, grad = _logistic_kernel(w, *inputs)
+        if it == max_iter:
+            for j, weights, loss, history in zip(live, w, losses, histories):
+                results[j] = LogisticModel(weights, max_iter, loss, history)
             break
+        # stop tests on Python floats: array-valued tests cost more than the
+        # arithmetic at one fold and a few dozen rows
+        keep = []
+        for pos, loss in enumerate(losses):
+            if not math.isfinite(loss):
+                results[live[pos]] = ValueError(
+                    f"training loss became non-finite at iteration {it}")
+                continue
+            histories[pos].append(loss)
+            if 0.0 <= prev[pos] - loss < tolerance:
+                results[live[pos]] = LogisticModel(w[pos], it, loss, histories[pos])
+                continue
+            keep.append(pos)
+        if len(keep) < len(live):
+            if not keep:
+                break
+            live = [live[pos] for pos in keep]
+            histories = [histories[pos] for pos in keep]
+            losses = [losses[pos] for pos in keep]
+            w, grad, features, labels = w[keep], grad[keep], features[keep], labels[keep]
+            inputs = _logistic_inputs(features, labels, c)
         w = w - learning_rate * grad
-        prev = loss
-        iterations = it + 1
-    final_loss, _ = _logistic_kernel(w, *inputs)
-    return LogisticModel(
-        weights=w, iterations=iterations, final_loss=float(final_loss),
-        loss_history=tuple(history),
-    )
+        prev = losses
+    return tuple(results)
 
 
 def predict_logistic_proba(model: LogisticModel, x) -> np.ndarray:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, as_rows, top_class
+from .dataset import Dataset, as_rows, stack_datasets, top_class
 
 
 @dataclass(frozen=True)
@@ -118,47 +119,116 @@ def fit_mlp(
     """Train on one-hot targets; weights start uniform in [-init_scale,
     +init_scale]. Stops at the epoch cap or once an epoch's nonnegative SSE
     improvement falls below 1e-10; worsening epochs keep training."""
-    if ds.n_samples < 1:
-        raise ValueError("cannot fit on an empty dataset")
-    if q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
-        raise ValueError("q must be >= 1; epochs, learning_rate, init_scale nonnegative")
-    p, c, n = ds.n_features, ds.n_classes, ds.n_samples
-    rng = np.random.default_rng(seed)
-    w1 = rng.uniform(-init_scale, init_scale, size=(p, q))
-    b1 = rng.uniform(-init_scale, init_scale, size=q)
-    w2 = rng.uniform(-init_scale, init_scale, size=(q, c))
-    b2 = rng.uniform(-init_scale, init_scale, size=c)
+    (result,) = fit_mlp_stacked((ds,), q, epochs, learning_rate, seed, init_scale)
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
-    x = ds.features
-    targets = np.zeros((n, c))
-    targets[np.arange(n), ds.labels] = 1.0
+
+def fit_mlp_stacked(
+    datasets,
+    q: int = 5,
+    epochs: int = 2000,
+    learning_rate: float = 0.01,
+    seed: int = 0,
+    init_scale: float = 0.5,
+) -> tuple[tuple[MlpModel, TrainTrace] | ValueError, ...]:
+    """`fit_mlp` on each of several datasets of one shape, in one loop.
+
+    Every network starts from the same seeded weights. The datasets are
+    stacked as (k, n, p) arrays, so each epoch is a few batched products for
+    all of them. A network leaves the stack when its own SSE settles or turns
+    non-finite, and its weights and trace are bit for bit the ones `fit_mlp`
+    gives it alone. Returns, per dataset in order, its (model, trace) or the
+    ValueError its own fit raises.
+    """
+    results = []
+    for ds in datasets:
+        if ds.n_samples < 1:
+            results.append(ValueError("cannot fit on an empty dataset"))
+        elif q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
+            results.append(ValueError(
+                "q must be >= 1; epochs, learning_rate, init_scale nonnegative"))
+        else:
+            results.append(None)
+    live = [j for j, result in enumerate(results) if result is None]
+    if not live:
+        return tuple(results)
+    x, labels = stack_datasets([datasets[j] for j in live])
+    (k, n, p), c = x.shape, datasets[live[0]].n_classes
+    rng = np.random.default_rng(seed)
+    start = (
+        rng.uniform(-init_scale, init_scale, size=(p, q)),
+        rng.uniform(-init_scale, init_scale, size=(1, q)),
+        rng.uniform(-init_scale, init_scale, size=(q, c)),
+        rng.uniform(-init_scale, init_scale, size=(1, c)),
+    )
+    targets = np.zeros((k, n, c))
+    np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
+    if k == 1:  # one network trains on 2-D arrays, whose products cost less per call
+        (w1, b1, w2, b2), x, targets = start, x[0], targets[0]
+    else:
+        w1, b1, w2, b2 = (np.repeat(arr[None], k, axis=0) for arr in start)
+
+    def sse_of(d_out):
+        return (d_out ** 2).reshape(-1, n * c).sum(axis=1).tolist()
 
     # the forward pass that scores an epoch's update is the next epoch's forward pass
     hidden = sigmoid(x @ w1 + b1)
     d_out = hidden @ w2 + b2 - targets
-    prev = float((d_out ** 2).sum())
-    if not np.isfinite(prev):
-        raise ValueError("training loss became non-finite at epoch 0")
-    trace = []
-    for epoch in range(epochs):
-        d_hidden = (d_out @ w2.T) * hidden * (1.0 - hidden)
-        w2 = w2 - learning_rate * (hidden.T @ d_out)
-        b2 = b2 - learning_rate * d_out.sum(axis=0)
-        w1 = w1 - learning_rate * (x.T @ d_hidden)
-        b1 = b1 - learning_rate * d_hidden.sum(axis=0)
-        hidden = sigmoid(x @ w1 + b1)
-        d_out = hidden @ w2 + b2 - targets
-        sse = float((d_out ** 2).sum())
-        if not np.isfinite(sse):
-            raise ValueError(f"training loss became non-finite at epoch {epoch + 1}")
-        trace.append(sse)
-        if 0.0 <= prev - sse < 1e-10:
-            break
-        prev = sse
-    model = MlpModel(
-        input_to_hidden=w1, hidden_bias=b1, hidden_to_output=w2, output_bias=b2
-    )
-    return model, TrainTrace(sse=tuple(trace))
+    sses = sse_of(d_out)
+    prev = [math.inf] * k  # no improvement test before the first update
+    traces = [[] for _ in live]
+    # views that follow the in-place weight updates
+    x_t, w2_t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)
+    for epoch in range(epochs + 1):
+        # stop tests on Python floats: array-valued tests cost more than the
+        # arithmetic at one network and a few dozen rows
+        keep = []
+        for pos, sse in enumerate(sses):
+            if not math.isfinite(sse):
+                results[live[pos]] = ValueError(
+                    f"training loss became non-finite at epoch {epoch}")
+                continue
+            if epoch:
+                traces[pos].append(sse)
+            if epoch < epochs and not 0.0 <= prev[pos] - sse < 1e-10:
+                keep.append(pos)
+                continue
+            try:
+                model = MlpModel(input_to_hidden=w1.reshape(-1, p, q)[pos],
+                                 hidden_bias=b1.reshape(-1, q)[pos],
+                                 hidden_to_output=w2.reshape(-1, q, c)[pos],
+                                 output_bias=b2.reshape(-1, c)[pos])
+            except ValueError as exc:
+                results[live[pos]] = exc
+            else:
+                results[live[pos]] = model, TrainTrace(sse=tuple(traces[pos]))
+        if len(keep) < len(live):
+            if not keep:
+                break
+            live = [live[pos] for pos in keep]
+            traces = [traces[pos] for pos in keep]
+            sses = [sses[pos] for pos in keep]
+            w1, b1, w2, b2, x, targets, hidden, d_out = (
+                arr[keep] for arr in (w1, b1, w2, b2, x, targets, hidden, d_out))
+            x_t, w2_t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)
+        prev = sses
+        d_hidden = d_out @ w2_t
+        d_hidden *= hidden
+        d_hidden *= 1.0 - hidden
+        w2 -= learning_rate * (hidden.swapaxes(-1, -2) @ d_out)
+        b2 -= learning_rate * d_out.sum(axis=-2, keepdims=True)
+        w1 -= learning_rate * (x_t @ d_hidden)
+        b1 -= learning_rate * d_hidden.sum(axis=-2, keepdims=True)
+        z = x @ w1
+        z += b1
+        hidden = sigmoid(z)
+        d_out = hidden @ w2
+        d_out += b2
+        d_out -= targets
+        sses = sse_of(d_out)
+    return tuple(results)
 
 
 def predict_mlp(model: MlpModel, x):

@@ -88,8 +88,10 @@ class TreeNode:
         if self.class_index is not None:
             dist = np.asarray(self.class_distribution, dtype=np.float64)
             object.__setattr__(self, "class_distribution", dist)
-            if abs(dist.sum() - 1.0) > 1e-12:
-                raise ValueError("leaf class distribution must sum to 1")
+            # a NaN or infinite entry makes the sum non-finite, which fails too;
+            # Python floats add inf and -inf to nan without a numpy warning
+            if not abs(sum(dist.ravel().tolist()) - 1.0) <= 1e-12:
+                raise ValueError("leaf class distribution must be finite and sum to 1")
             dist.flags.writeable = False
         elif (self.feature_index is None or self.threshold is None
               or self.left is None or self.right is None):
@@ -187,7 +189,12 @@ def _best_splits(columns, onehot, totals, criterion):
     best = decreases.reshape(n_nodes, -1).argmax(axis=1)
     f, i = np.divmod(best, width - 1)
     at = np.arange(n_nodes)
-    return decreases[at, f, i], f, (ordered[at, f, i] + ordered[at, f, i + 1]) / 2.0
+    lower, upper = ordered[at, f, i], ordered[at, f, i + 1]
+    with np.errstate(over="ignore"):
+        middle = (lower + upper) / 2.0
+    # a midpoint that rounds onto the upper value (adjacent doubles) or
+    # overflows would send every row left; the lower value splits them
+    return decreases[at, f, i], f, np.where((middle < upper) & np.isfinite(middle), middle, lower)
 
 
 class _LockstepGrower:

@@ -1,5 +1,11 @@
 """Impurity functions, single decision trees, and bagged forests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,6 +128,66 @@ def test_tree_threshold_is_midpoint_and_ties_go_left():
     assert model.root.threshold == 2.0
     assert predict_tree(model, [2.0]) == 0
     assert predict_tree(model, [2.0001]) == 1
+
+
+_EPS = np.finfo(float).eps
+
+# Fits a DT (both criteria, and depth 1), a forest of full-sample trees and a
+# bagged forest on the 3-row column in argv[1] (labels 0, 1, 0), with every
+# warning an error; prints each DT's thresholds in pre-order and the labels.
+_GROW_IN_CHILD = """
+import json, sys
+import numpy as np
+from ecobench import Dataset, fit_decision_tree, fit_random_forest, predict_forest, predict_tree
+
+column = np.array(json.loads(sys.argv[1]))[:, None]
+ds = Dataset(column, [0, 1, 0], ("x",), ("A", "B"))
+
+def thresholds(node):
+    return [] if node.is_leaf else [node.threshold, *thresholds(node.left), *thresholds(node.right)]
+
+out = {}
+for criterion in ("entropy", "gini"):
+    tree = fit_decision_tree(ds, criterion=criterion)
+    out[criterion] = [thresholds(tree.root), predict_tree(tree, column).tolist()]
+out["depth1"] = predict_tree(fit_decision_tree(ds, max_depth=1), column).tolist()
+out["full"] = predict_forest(fit_random_forest(ds, n_trees=7, bootstrap=False), column).tolist()
+out["bagged"] = predict_forest(fit_random_forest(ds, n_trees=50, seed=3), column).tolist()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize(
+    "column",
+    [(1.0, 1.0 + _EPS, 1.0 + 2 * _EPS), (1e308, 1.5e308, 1.7e308), (-1e308, -1.5e308, -1.7e308)],
+    ids=["adjacent-doubles", "midpoint-overflows", "midpoint-overflows-below"],
+)
+def test_grower_terminates_when_the_midpoint_is_not_between_the_values(column):
+    # the midpoint of 1+eps and 1+2eps rounds onto 1+2eps, and that of 1e308
+    # and 1.5e308 overflows; either would send every row left and grow the
+    # same node forever, so the fit runs in a child process under a time limit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _GROW_IN_CHILD, json.dumps(column)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    for criterion in ("entropy", "gini"):
+        # each cut falls back to its lower value: the root's, then its right child's
+        assert out[criterion] == [sorted(column)[:2], [0, 1, 0]]
+    assert out["depth1"] == [0, 0, 0]
+    assert out["full"] == [0, 1, 0]
+    assert len(out["bagged"]) == 3
+
+
+def test_leaf_rejects_a_non_finite_distribution():
+    for distribution in ([np.nan, np.nan], [np.inf, 0.0], [1.5, np.nan], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="finite and sum to 1"):
+            TreeNode(class_index=0, class_distribution=distribution)
+    assert TreeNode(class_index=1, class_distribution=[0.25, 0.75]).is_leaf
 
 
 def test_tree_split_tie_breaks_prefer_low_feature_then_low_threshold():
