@@ -96,7 +96,7 @@ from .neural import (
 from .trees import (
     DecisionTreeModel,
     ForestModel,
-    TreeNode,
+    NodeView,
     conditional_entropy,
     entropy,
     fit_decision_tree,

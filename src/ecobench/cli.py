@@ -24,7 +24,7 @@ from .dataset import (
     SyntheticSpec,
     generate_ecological,
     load_csv,
-    parse_feature_cell,
+    parse_feature_rows,
     save_csv,
     standardize,
     train_test_split,
@@ -257,13 +257,7 @@ def _read_feature_rows(path, bundle) -> np.ndarray:
             f"model expects {p} feature columns {list(bundle.feature_names)}, "
             f"file has {len(header)}: {header}"
         )
-    out = np.empty((len(rows), p))
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"row {r + 1}: expected {len(header)} cells, found {len(row)}")
-        for j, pos in enumerate(positions):
-            out[r, j] = parse_feature_cell(row[pos], r + 1, header[pos])
-    return out
+    return parse_feature_rows(rows, header, positions)
 
 
 def cmd_predict(args) -> int:

@@ -203,6 +203,29 @@ def parse_feature_cell(cell: str, row: int, column: str) -> float:
     return value
 
 
+def parse_feature_rows(rows, header, positions) -> np.ndarray:
+    """The (len(rows), len(positions)) float matrix of the cells at
+    `positions` of CSV `rows`. A row whose cell count differs from the
+    header's, or a non-numeric or non-finite cell, is a ValueError naming the
+    first bad row (and column), scanning rows in order and each row's length
+    before its cells."""
+    if all(len(row) == len(header) for row in rows):
+        try:
+            values = np.array([[float(row[i]) for i in positions] for row in rows])
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values
+    # cell by cell, which stops at the first bad row or cell
+    out = np.empty((len(rows), len(positions)))
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"row {r + 1}: expected {len(header)} cells, found {len(row)}")
+        for j, i in enumerate(positions):
+            out[r, j] = parse_feature_cell(row[i], r + 1, header[i])
+    return out
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Read a headered CSV, taking `label_column` as the class and the rest as features.
 
@@ -230,22 +253,11 @@ def load_csv(path, label_column: str) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    features = np.empty((len(rows), len(feature_names)), dtype=np.float64)
-    class_names: list[str] = []
-    labels = np.empty(len(rows), dtype=np.int64)
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"row {r + 1}: expected {len(header)} cells, found {len(row)}")
-        j = 0
-        for i, cell in enumerate(row):
-            if i == label_pos:
-                name = cell.strip()
-                if name not in class_names:
-                    class_names.append(name)
-                labels[r] = class_names.index(name)
-                continue
-            features[r, j] = parse_feature_cell(cell, r + 1, header[i])
-            j += 1
+    features = parse_feature_rows(rows, header, [i for i in range(len(header)) if i != label_pos])
+    names = [row[label_pos].strip() for row in rows]
+    class_names = list(dict.fromkeys(names))  # in order of first appearance
+    code = {name: c for c, name in enumerate(class_names)}
+    labels = np.array([code[name] for name in names], dtype=np.int64)
     if len(class_names) < 2:
         raise ValueError(f"need at least 2 distinct classes, found {class_names}")
     return Dataset(features, labels, feature_names, tuple(class_names))

@@ -6,13 +6,17 @@ model can score new feature files exactly as the in-process one would.
 
 One codec writes every model from its dataclass fields, in field order: an
 array becomes a nested list, a tuple a list and a nested dataclass an object.
-A field whose default is None is left out while it is None (a tree leaf keeps
-only its class and distribution), unless its metadata has "save_none"; a
-field whose metadata has "save": False is not written (LR's loss history)
-and loads as its default. Loading converts each value by the field's type
-hint (arrays load as float64, a null or bare number in an array field is
-rejected, and a model casts its integer arrays), and a malformed file is a
-ValueError naming the bad field.
+A field whose default is None is left out while it is None, unless its
+metadata has "save_none"; a field whose metadata has "save": False is not
+written (LR's loss history) and loads as its default. Loading converts each
+value by the field's type hint (arrays load as float64, a null or bare
+number in an array field is rejected, and a model casts its integer arrays),
+and a malformed file is a ValueError naming the bad field.
+
+Format 2 saves a tree, and a forest, as flat per-node lists (`feature`,
+`threshold`, `left`, `value`, and a forest's `roots`). Format 1 nested each
+tree node in its parent; its files still load, converted here to the flat
+layout, and every other model reads the same in both formats.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ import numpy as np
 
 from .dataset import ScalingParams
 from .evaluation import algorithm_adapter
+from .trees import DecisionTreeModel, ForestModel
 
 FORMAT_NAME = "ecobench-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _converters(hint):
@@ -88,8 +93,7 @@ def _encode(value, plan=None):
 
 
 def _decode(cls, record, plan=None):
-    """A `cls` instance from its saved record. Nested dataclasses cost one
-    Python frame per level, as in `_encode`, so any tree that saves loads."""
+    """A `cls` instance from its saved record."""
     if not isinstance(record, dict):
         raise TypeError(f"expected an object, got {type(record).__name__}")
     kwargs = {}
@@ -104,6 +108,89 @@ def _decode(cls, record, plan=None):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from None
     return cls(**kwargs)
+
+
+def _format_1_tree(record) -> dict:
+    """The format-2 record of a format-1 tree, whose `root` object nests
+    every node: a split holds `feature_index`, `threshold`, `left` and
+    `right`, a leaf `class_index` and `class_distribution`. Nodes get the
+    grower's ids (the root 0, a split's children the next two free ids, in
+    pre-order), and the walk keeps its own stack, so any depth converts."""
+    if not isinstance(record, dict):
+        raise TypeError(f"expected an object, got {type(record).__name__}")
+    if "root" not in record:
+        raise ValueError("root: missing")
+    nodes, left, stack = [record["root"]], [-1], [0]
+    while stack:
+        i = stack.pop()
+        node = nodes[i]
+        if not isinstance(node, dict):
+            raise TypeError(f"root: expected an object, got {type(node).__name__}")
+        if node.get("class_index") is None:
+            if any(node.get(key) is None for key in ("feature_index", "threshold", "left",
+                                                     "right")):
+                raise ValueError(
+                    "root: internal nodes need a feature, a threshold and two children")
+            left[i] = len(nodes)
+            nodes += [node["left"], node["right"]]
+            left += [-1, -1]
+            stack += [left[i] + 1, left[i]]
+    leaves = [i for i, child in enumerate(left) if child == -1]
+    try:
+        distribution = np.array([nodes[i].get("class_distribution") for i in leaves],
+                                dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"root: class_distribution: {exc}") from None
+    if distribution.ndim != 2:
+        raise ValueError("root: class_distribution: expected one vector per leaf")
+    if (np.isfinite(distribution).all()
+            and [nodes[i]["class_index"] for i in leaves] != distribution.argmax(axis=1).tolist()):
+        raise ValueError("root: class_index: not the largest class_distribution entry")
+    value = np.zeros((len(nodes), distribution.shape[1]))
+    value[leaves] = distribution
+    flat = {key: item for key, item in record.items() if key != "root"}
+    flat.update(
+        feature=[-1 if i == -1 else node["feature_index"] for node, i in zip(nodes, left)],
+        threshold=[0.0 if i == -1 else node["threshold"] for node, i in zip(nodes, left)],
+        left=left,
+        value=value,
+    )
+    return flat
+
+
+def _format_1_forest(record) -> dict:
+    """The format-2 record of a format-1 forest: its list of tree records
+    becomes one node table, tree after tree."""
+    if not isinstance(record, dict):
+        raise TypeError(f"expected an object, got {type(record).__name__}")
+    trees = record.get("trees")
+    if not isinstance(trees, list) or not trees:
+        raise ValueError("trees: expected a nonempty list of trees")
+    try:
+        flat = [_format_1_tree(tree) for tree in trees]
+        roots = np.cumsum([0] + [len(tree["left"]) for tree in flat[:-1]])
+        left = [np.array(tree["left"]) for tree in flat]
+        value = np.concatenate([tree["value"] for tree in flat])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"trees: {exc}") from None
+    forest = {key: item for key, item in record.items() if key != "trees"}
+    forest.update(
+        max_depth=flat[0].get("max_depth"),
+        min_samples_split=flat[0].get("min_samples_split"),
+        roots=roots,
+        feature=[f for tree in flat for f in tree["feature"]],
+        threshold=[t for tree in flat for t in tree["threshold"]],
+        left=np.concatenate([np.where(ids == -1, -1, ids + r) for ids, r in zip(left, roots)]),
+        value=value,
+    )
+    return forest
+
+
+# Readers of the format-1 tree and forest records, in place of the model class
+_FORMAT_1_MODELS = {
+    DecisionTreeModel: lambda record: _decode(DecisionTreeModel, _format_1_tree(record)),
+    ForestModel: lambda record: _decode(ForestModel, _format_1_forest(record)),
+}
 
 
 @dataclass(frozen=True)
@@ -144,10 +231,13 @@ def load_model(path) -> ModelBundle:
     record = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(record, dict) or record.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
-    if record.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {record.get('version')!r}")
+    version = record.get("version")
+    if version not in (1, FORMAT_VERSION):
+        raise ValueError(f"{path}: unsupported version {version!r}")
     try:
         model_class = algorithm_adapter(record.get("algorithm")).model_class
+        if version == 1:
+            model_class = _FORMAT_1_MODELS.get(model_class, model_class)
         return _decode(ModelBundle, record, _plan(ModelBundle, model=model_class))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -4,12 +4,15 @@ Single trees split on information gain (entropy, bits); forest trees split on
 Gini impurity and report per-feature importance as the mean decrease in node
 impurity across the ensemble. A forest's trees grow together: each step scores
 the next split of every unfinished tree in one batched array pass, and every
-tree comes out as it would grown alone.
+tree comes out as it would grown alone. A tree is flat node arrays and a
+forest one such table; prediction moves every (tree, row) pair one level down
+per array step.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -73,79 +76,227 @@ def information_gain(parent, partition) -> float:
     return entropy(parent) - conditional_entropy(partition)
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal split node (feature/threshold/children) or leaf (class/distribution)."""
+def _node_ids(values, name: str) -> np.ndarray:
+    """int64 ids from integers or from floats that are whole numbers (a saved
+    file's arrays load as float64)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        array = np.asarray(array, dtype=np.float64)
+        if not np.all((np.abs(array) < 2.0**53) & (array == np.trunc(array))):
+            raise ValueError(f"{name}: expected whole numbers")
+    return array.astype(np.int64, copy=False)
 
-    feature_index: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    class_index: int | None = None
-    class_distribution: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.class_index is not None:
-            dist = np.asarray(self.class_distribution, dtype=np.float64)
-            object.__setattr__(self, "class_distribution", dist)
-            # a NaN or infinite entry makes the sum non-finite, which fails too;
-            # Python floats add inf and -inf to nan without a numpy warning
-            if not abs(sum(dist.ravel().tolist()) - 1.0) <= 1e-12:
-                raise ValueError("leaf class distribution must be finite and sum to 1")
-            dist.flags.writeable = False
-        elif (self.feature_index is None or self.threshold is None
-              or self.left is None or self.right is None):
-            raise ValueError("internal nodes need a feature, a threshold and two children")
+def _checked_nodes(model, roots: np.ndarray) -> None:
+    """Cast `model`'s node arrays in place and reject any table the level sweep
+    could not route: arrays of unequal length, a child id outside its tree or
+    not above its parent's (so every walk moves down and ends), a split
+    feature out of range, a non-finite split threshold, or a leaf class
+    distribution that is not finite or does not sum to 1. `roots` holds the
+    first node id of each tree; a tree's nodes run up to the next root."""
+    left = _node_ids(model.left, "left")
+    feature = _node_ids(model.feature, "feature")
+    threshold = np.asarray(model.threshold, dtype=np.float64)
+    value = np.asarray(model.value, dtype=np.float64)
+    if left.ndim != 1 or left.shape[0] < 1:
+        raise ValueError(f"left: expected one entry per node and at least one node, "
+                         f"got shape {left.shape}")
+    n = left.shape[0]
+    if roots[-1] >= n:
+        raise ValueError(f"roots: tree {roots.size - 1} starts past the last node")
+    for name, array, shape in (("feature", feature, (n,)), ("threshold", threshold, (n,)),
+                               ("value", value, (n, model.n_classes))):
+        if array.shape != shape:
+            raise ValueError(f"{name}: expected shape {shape} for {n} nodes, got {array.shape}")
+    split = np.flatnonzero(left != -1)
+    children = left[split]
+    if roots.size > 1:
+        ends = np.append(roots[1:], n)
+        end = ends[np.searchsorted(roots, split, side="right") - 1]
+    else:
+        end = n
+    bad = (children <= split) | (children + 1 >= end)
+    if bad.any():
+        at = split[bad.argmax()]
+        raise ValueError(f"left: node {at}'s children {left[at]} and {left[at] + 1} are not "
+                         "later nodes of its tree")
+    used = feature[split]
+    bad = (used < 0) | (used >= model.n_features)
+    if bad.any():
+        at = split[bad.argmax()]
+        raise ValueError(f"feature: node {at} splits on feature {feature[at]} "
+                         f"of {model.n_features}")
+    bad = ~np.isfinite(threshold[split])
+    if bad.any():
+        raise ValueError(f"threshold: node {split[bad.argmax()]} has a non-finite threshold")
+    leaves = left == -1
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN sums fail the test
+        bad = ~(np.abs(value[leaves].sum(axis=1) - 1.0) <= 1e-12)
+    if bad.any():
+        at = np.flatnonzero(leaves)[bad.argmax()]
+        raise ValueError(f"value: leaf {at}'s class distribution is not finite "
+                         "or does not sum to 1")
+    for name, array in (("left", left), ("feature", feature), ("threshold", threshold),
+                        ("value", value)):
+        array.flags.writeable = False
+        object.__setattr__(model, name, array)
+
+
+class NodeView:
+    """One node of a tree model, read from its arrays: an internal node has a
+    feature, a threshold and two children, a leaf a class and a class
+    distribution. Holds only the model and the node id."""
+
+    __slots__ = ("tree", "index")
+
+    def __init__(self, tree: "DecisionTreeModel", index: int):
+        self.tree = tree
+        self.index = index
 
     @property
     def is_leaf(self) -> bool:
-        return self.class_index is not None
+        return bool(self.tree.left[self.index] == -1)
+
+    @property
+    def left(self) -> "NodeView | None":
+        return None if self.is_leaf else NodeView(self.tree, int(self.tree.left[self.index]))
+
+    @property
+    def right(self) -> "NodeView | None":
+        return None if self.is_leaf else NodeView(self.tree, int(self.tree.left[self.index]) + 1)
+
+    @property
+    def feature_index(self) -> int | None:
+        return None if self.is_leaf else int(self.tree.feature[self.index])
+
+    @property
+    def threshold(self) -> float | None:
+        return None if self.is_leaf else float(self.tree.threshold[self.index])
+
+    @property
+    def class_index(self) -> int | None:
+        """The leaf's majority class, ties to the lowest index."""
+        return int(np.argmax(self.tree.value[self.index])) if self.is_leaf else None
+
+    @property
+    def class_distribution(self) -> np.ndarray | None:
+        return self.tree.value[self.index] if self.is_leaf else None
 
 
 @dataclass(frozen=True)
 class DecisionTreeModel:
-    root: TreeNode
+    """A fitted tree as flat node arrays, the struct-of-arrays layout of
+    scikit-learn's `Tree`. Node 0 is the root. An internal node sends a row
+    whose `feature` value is at most its `threshold` to child `left` and any
+    other row, NaN included, to child `left + 1`; both ids are larger than
+    its own. A leaf has `left` and `feature` -1, threshold 0 and its class
+    distribution in its row of `value`; an internal node's row is zeros."""
+
     n_features: int
     n_classes: int
     criterion: str
     max_depth: int | None
     min_samples_split: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        _checked_nodes(self, np.zeros(1, dtype=np.int64))
+
+    @property
+    def root(self) -> NodeView:
+        return NodeView(self, 0)
+
+    @functools.cached_property
+    def _sweep(self):
+        return _sweep_table(np.zeros(1, dtype=np.int64), self)
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[DecisionTreeModel, ...]
+    """A fitted forest as one node table: tree t's nodes are ids `roots[t]`
+    up to the next root, numbered and laid out as in `DecisionTreeModel` with
+    every id offset by its tree's root."""
+
     n_trees: int
     m_try: int
     seed: int
     importance: np.ndarray
     n_features: int
     n_classes: int
+    max_depth: int | None
+    min_samples_split: int
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
 
     def __post_init__(self):
         imp = np.asarray(self.importance, dtype=np.float64)
         object.__setattr__(self, "importance", imp)
-        object.__setattr__(self, "trees", tuple(self.trees))
-        if len(self.trees) != self.n_trees or self.n_trees < 1:
-            raise ValueError("forest must hold exactly n_trees fitted trees")
         if imp.shape != (self.n_features,) or np.any(imp < 0):
             raise ValueError("importance must be one nonnegative entry per feature")
         imp.flags.writeable = False
+        roots = _node_ids(self.roots, "roots")
+        if self.n_trees < 1 or roots.shape != (self.n_trees,):
+            raise ValueError("roots: the forest must hold exactly n_trees >= 1 trees")
+        if roots[0] != 0 or np.any(roots[1:] <= roots[:-1]):
+            raise ValueError("roots: expected increasing node ids from 0")
+        roots.flags.writeable = False
+        object.__setattr__(self, "roots", roots)
+        _checked_nodes(self, roots)
+
+    @functools.cached_property
+    def trees(self) -> tuple[DecisionTreeModel, ...]:
+        """Each tree as its own model, node ids counted from its root."""
+        ends = np.append(self.roots[1:], self.left.shape[0]).tolist()
+        return tuple(
+            DecisionTreeModel(
+                n_features=self.n_features,
+                n_classes=self.n_classes,
+                criterion="gini",
+                max_depth=self.max_depth,
+                min_samples_split=self.min_samples_split,
+                feature=self.feature[root:end],
+                threshold=self.threshold[root:end],
+                left=np.where(self.left[root:end] == -1, -1, self.left[root:end] - root),
+                value=self.value[root:end],
+            )
+            for root, end in zip(self.roots.tolist(), ends)
+        )
+
+    @functools.cached_property
+    def _sweep(self):
+        return _sweep_table(self.roots, self)
+
+
+def _class_sums(terms: np.ndarray) -> np.ndarray:
+    """`terms.sum(axis=-1)` to the last bit, for C-contiguous `terms`. numpy
+    adds fewer than 8 terms of a row left to right, so for fewer than 8
+    classes whole class columns are added in that order, which saves numpy's
+    per-row reduction call; from 8 on numpy sums pairwise, so it sums."""
+    if terms.shape[-1] >= 8:
+        return terms.sum(axis=-1)
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
 
 
 def _impurity_of_proportions(p: np.ndarray, criterion: str) -> np.ndarray:
     """Impurity of each class-proportion vector along the last axis of `p`.
 
     `p` is C-contiguous with classes last, so every class sum is reduced in
-    numpy's one fixed (pairwise) order whatever the leading axes are.
+    numpy's one fixed order whatever the leading axes are.
     """
     if criterion == "entropy":
-        terms = np.zeros_like(p)
-        mask = p > 0
-        terms[mask] = p[mask] * np.log2(p[mask])
-        return -terms.sum(axis=-1)
+        # p * log2(p), and 0 where p is 0 (log2(1) is exactly 0)
+        return -_class_sums(p * np.log2(np.where(p > 0, p, 1.0)))
     if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=-1)
+        return 1.0 - _class_sums(p * p)
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
@@ -155,57 +306,66 @@ def _impurity_of_proportions(p: np.ndarray, criterion: str) -> np.ndarray:
 SPLIT_BLOCK_FLOATS = 1 << 14
 
 
-def _best_splits(columns, onehot, totals, criterion):
+def _best_splits(columns, labels, totals, criterion):
     """Best midpoint split of every node of a block, in one array pass.
 
-    `columns` (B, k, N) holds each node's k candidate columns, +inf past the
-    node's own rows; `onehot` (B, N, C) holds its one-hot labels (rows past its
-    own are never counted) and `totals` (B, C) its class counts. Each column is
-    presorted and both children of every boundary between distinct sorted
-    values are scored at once. Returns per node the decrease, the candidate's
-    position and the threshold; the decrease is -inf where no boundary exists.
-    Ties favor the lowest candidate position, then the lowest threshold (the
-    first maximum of the node's candidate-major decrease matrix).
+    `columns` (B, k, N) holds each node's k candidate columns, NaN past the
+    node's own rows; `labels` (B, N) holds the class of each of its rows (rows
+    past its own are never counted) and `totals` (B, C) its class counts. Each
+    column is presorted and both children of every boundary between distinct
+    sorted values are scored at once. Returns per node the decrease, the
+    candidate's position, the threshold, the left child's row and class
+    counts, and the node's row positions sorted by the chosen column (left
+    child's rows first, padding last); the decrease is -inf where no boundary
+    exists. Ties favor the lowest candidate position, then the lowest
+    threshold (the first maximum of the node's candidate-major decrease
+    matrix).
     """
     n_nodes, k, width = columns.shape
     n = totals.sum(axis=1)
+    # NaN padding sorts last and is never greater or smaller than a value
     ordered = np.sort(columns, axis=2, kind="stable")
-    cuts = np.arange(width - 1)
-    is_boundary = (ordered[:, :, 1:] > ordered[:, :, :-1]) & (cuts < (n - 1)[:, None])[:, None, :]
+    is_boundary = ordered[:, :, 1:] > ordered[:, :, :-1]
     order = np.argsort(columns, axis=2, kind="stable")
-    parent = _impurity_of_proportions(totals / n[:, None], criterion)
-    # counts[0] / counts[1]: class counts left / right of the cut after each
-    # sorted position, then their proportions; every child size is exact
-    counts = np.empty((2, n_nodes, k, width - 1, totals.shape[1]))
-    np.cumsum(onehot[np.arange(n_nodes)[:, None, None], order[:, :, :-1]], axis=2, out=counts[0])
-    np.subtract(totals[:, None, None, :], counts[0], out=counts[1])
-    n_left = cuts + 1.0
+    at = np.arange(n_nodes)
+    # class counts of the rows up to each sorted position (exact integers);
+    # at a node's last row they are its totals, whose impurity is the parent's
+    left = np.eye(totals.shape[1])[labels[at[:, None, None], order]].cumsum(axis=2)
+    # proportions[0] / [1]: class proportions left / right of the cut after
+    # each position; every child size is exact
+    proportions = np.empty((2, n_nodes, k, width, totals.shape[1]))
+    n_left = np.arange(1.0, width + 1.0)
     n_right = np.maximum(n[:, None] - n_left, 1.0)  # clamped only past the node's rows
-    counts[0] /= n_left[:, None]
-    counts[1] /= n_right[:, None, :, None]
-    impurity = _impurity_of_proportions(counts, criterion)
-    children = (n_left * impurity[0] + n_right[:, None, :] * impurity[1]) / n[:, None, None]
+    np.divide(left, n_left[:, None], out=proportions[0])
+    np.subtract(totals[:, None, None, :], left, out=proportions[1])
+    proportions[1] /= n_right[:, None, :, None]
+    impurity = _impurity_of_proportions(proportions, criterion)
+    parent = impurity[0, at, 0, n.astype(np.int64) - 1]
+    children = (n_left[:-1] * impurity[0, :, :, :-1]
+                + n_right[:, None, :-1] * impurity[1, :, :, :-1]) / n[:, None, None]
     decreases = np.where(is_boundary, parent[:, None, None] - children, -np.inf)
     best = decreases.reshape(n_nodes, -1).argmax(axis=1)
     f, i = np.divmod(best, width - 1)
-    at = np.arange(n_nodes)
     lower, upper = ordered[at, f, i], ordered[at, f, i + 1]
-    with np.errstate(over="ignore"):
-        middle = (lower + upper) / 2.0
+    middle = (lower + upper) / 2.0
     # a midpoint that rounds onto the upper value (adjacent doubles) or
-    # overflows would send every row left; the lower value splits them
-    return decreases[at, f, i], f, np.where((middle < upper) & np.isfinite(middle), middle, lower)
+    # overflows (the grower ignores that overflow) would send every row left;
+    # the lower value splits them
+    threshold = np.where((middle < upper) & np.isfinite(middle), middle, lower)
+    return decreases[at, f, i], f, threshold, i + 1, left[at, f, i], order[at, f]
 
 
 class _LockstepGrower:
     """Grows the trees of a forest (or one tree) together, one split per tree per step.
 
-    A node that passes the leaf tests waits on its tree's explicit stack, and a
-    tree splits those nodes in pre-order, left subtree before right, so a deep
-    tree needs no recursion and its rng draws and importance sums come in the
-    order of a tree grown alone. A node is a contiguous range of its tree's row
-    of `samples`, which its split reorders in place to left rows, then right
-    rows; a stack entry holds the node's id, range, depth and class counts.
+    A node that passes the leaf tests waits on its tree's stack, and a tree
+    splits those nodes in pre-order, left subtree before right, so a deep tree
+    needs no recursion and its rng draws and importance sums come in the order
+    of a tree grown alone. A node is a contiguous range of its tree's row of
+    `samples`, which its split reorders in place to left rows, then right
+    rows. Nodes get growth ids in the order they are made, every tree's root
+    first, and the children of a split get two consecutive ids. The stacks
+    are one (trees, slots) array of growth ids with one stack pointer per tree.
     """
 
     def __init__(self, features, labels, samples, n_classes, criterion, max_depth,
@@ -220,15 +380,24 @@ class _LockstepGrower:
         self.min_samples_split = min_samples_split
         self.m_try = m_try
         self.rngs = rngs
-        self.onehot_of = np.eye(n_classes)
         self.importance = np.zeros((n_trees, features.shape[1]))
-        # per tree, node id -> leaf TreeNode, or (feature, threshold, left id, right id)
-        self.nodes = [[None] for _ in range(n_trees)]
-        self.stacks = [[] for _ in range(n_trees)]
-        self.roots = [None] * n_trees
+        # per growth id: (tree, first row in `samples`, row count, depth), the
+        # class counts and, once split, the feature, threshold and left child
+        self.nodes = np.zeros((0, 4), dtype=np.int64)
+        self.counts = np.zeros((0, n_classes))
+        self.feature = np.zeros(0, dtype=np.int64)
+        self.threshold = np.zeros(0)
+        self.left = np.zeros(0, dtype=np.int64)
+        self.n_nodes = 0
+        self.splits = []  # (growth ids, decreases) of each step's splits
+        # a stack holds disjoint nodes of at least 2 rows, n_total // 2 at most
+        self.stack = np.empty((n_trees, self.n_total // 2 + 1), dtype=np.int64)
+        self.top = np.zeros(n_trees, dtype=np.int64)
 
     def grow(self):
-        """Every tree's root and the (trees, features) importance matrix.
+        """The grown forest as one node table, tree after tree, each tree's
+        nodes in the order they were made: (roots, feature, threshold, left,
+        value), plus the (trees, features) importance matrix.
 
         A step pops the top node of every unfinished tree's stack, draws each
         node's candidates from its own tree's rng and scores all of them in
@@ -242,141 +411,166 @@ class _LockstepGrower:
             (trees[:, None] * self.n_classes + self.labels[self.samples]).ravel(),
             minlength=n_trees * self.n_classes,
         ).reshape(n_trees, self.n_classes).astype(np.float64)
-        zeros = np.zeros(n_trees, dtype=np.int64)
-        self._place(trees, zeros, zeros, np.full(n_trees, self.n_total), zeros, counts)
-        active = self._unfinished(range(n_trees))
+        roots = np.zeros((n_trees, 4), dtype=np.int64)
+        roots[:, 0], roots[:, 2] = trees, self.n_total
+        _, inner = self._add_nodes(roots, counts)
+        self._push(trees[inner], trees[inner])
         draws = self.m_try is not None and self.m_try < n_features
-        while active:
-            ids, start, end, depth, counts = zip(*(self.stacks[t].pop() for t in active))
-            tree, ids, start, end, depth = map(np.array, (active, ids, start, end, depth))
-            counts = np.array(counts)
-            size = end - start
-            step = (tree, start, size, counts)
-            # per popped node: decrease (-inf until a split is found), feature,
-            # threshold, left child's row count and left child's class counts
-            best = (np.full(tree.size, -np.inf), np.zeros(tree.size, dtype=np.int64),
-                    np.zeros(tree.size), np.zeros(tree.size, dtype=np.int64), np.zeros_like(counts))
-            decrease, feature, threshold, n_left, left_counts = best
-            nodes = np.arange(tree.size)
-            if draws:
-                candidates = np.array([
-                    self.rngs[t].choice(n_features, self.m_try, replace=False) for t in active
-                ])
-                candidates.sort(axis=1)
-                self._score(nodes, candidates, step, best)
-                nodes = np.nonzero(decrease == -np.inf)[0]
-            if nodes.size:
-                self._score(nodes, np.repeat(np.arange(n_features)[None, :], nodes.size, axis=0),
-                            step, best)
+        every = np.tile(np.arange(n_features), (n_trees, 1))
+        # a midpoint of two huge values overflows to inf, which no split keeps
+        with np.errstate(over="ignore"):
+            while (tree := np.nonzero(self.top)[0]).size:
+                self._step(tree, draws, every)
+        if self.splits:
+            # each tree's splits in the order it made them, one per step
+            ids, decrease = map(np.concatenate, zip(*self.splits))
+            np.add.at(self.importance, (self.nodes[ids, 0], self.feature[ids]),
+                      (self.nodes[ids, 2] / self.n_total) * np.maximum(decrease, 0.0))
+        n = self.n_nodes
+        order = np.argsort(self.nodes[:n, 0], kind="stable")
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        left = self.left[order]
+        split = left != -1
+        left[split] = position[left[split]]
+        leaf = ~split
+        value = np.zeros((n, self.n_classes))
+        value[leaf] = self.counts[order][leaf] / self.nodes[order, 2][leaf, None]
+        return (position[:n_trees], self.feature[order], self.threshold[order], left, value,
+                self.importance)
 
-            found = decrease > -np.inf
-            self._leaves(tree[~found], ids[~found], counts[~found], size[~found])
-            split = np.nonzero(found)[0]
-            left_ids = []
-            for t, i, n, dec, f, thr in zip(
-                tree[split].tolist(), ids[split].tolist(), size[split].tolist(),
-                decrease[split].tolist(), feature[split].tolist(), threshold[split].tolist(),
-            ):
-                self.importance[t, f] += (n / self.n_total) * max(dec, 0.0)
-                nodes_of_tree = self.nodes[t]
-                left = len(nodes_of_tree)
-                nodes_of_tree[i] = (f, thr, left, left + 1)
-                nodes_of_tree += [None, None]
-                left_ids.append(left)
-            # every right child is stacked before its left sibling, which ends on top
-            tree, start, end, depth = tree[split], start[split], end[split], depth[split] + 1
-            middle = start + n_left[split]
-            left_ids = np.array(left_ids, dtype=np.int64)
-            self._place(
-                np.concatenate([tree, tree]),
-                np.concatenate([left_ids + 1, left_ids]),
-                np.concatenate([middle, start]),
-                np.concatenate([end, middle]),
-                np.concatenate([depth, depth]),
-                np.concatenate([counts[split] - left_counts[split], left_counts[split]]),
-            )
-            active = self._unfinished(active)
-        return self.roots, self.importance
+    def _step(self, tree, draws, every):
+        """Pop the top node of each of `tree`'s stacks and split it or leave it a leaf."""
+        self.top[tree] -= 1
+        ids = self.stack[tree, self.top[tree]]
+        node, counts = self.nodes[ids], self.counts[ids]
+        if draws:
+            candidates = np.array([
+                self.rngs[t].choice(every.shape[1], self.m_try, replace=False)
+                for t in tree.tolist()
+            ])
+            candidates.sort(axis=1)
+            best = self._score(node, counts, candidates)
+            again = np.nonzero(best[0] == -np.inf)[0]
+            if again.size:
+                widened = self._score(node[again], counts[again], every[:again.size])
+                for array, part in zip(best, widened):
+                    array[again] = part
+        else:
+            best = self._score(node, counts, every[:tree.size])
+        decrease, feature, threshold, n_left, left_counts = best
 
-    def _place(self, tree, ids, start, end, depth, counts):
-        """Turn the nodes that fail a split test into leaves; stack the others."""
-        size = end - start
+        split = np.nonzero(decrease > -np.inf)[0]
+        if not split.size:
+            return
+        ids, node, counts, feature, n_left, left_counts = (
+            ids[split], node[split], counts[split], feature[split], n_left[split],
+            left_counts[split])
+        tree = node[:, 0]
+        self.splits.append((ids, decrease[split]))
+        self.feature[ids], self.threshold[ids] = feature, threshold[split]
+        # the children of split j get growth ids first + 2j (left) and
+        # first + 2j + 1 (right); the right one's rows follow the left's
+        children = np.repeat(node, 2, axis=0)
+        children[0::2, 2] = n_left
+        children[1::2, 1] += n_left
+        children[1::2, 2] -= n_left
+        children[:, 3] += 1
+        child_counts = np.repeat(left_counts, 2, axis=0)
+        child_counts[1::2] = counts - left_counts
+        first, inner = self._add_nodes(children, child_counts)
+        left = first + 2 * np.arange(split.size)
+        self.left[ids] = left
+        # a right child is stacked before its left sibling, which ends on top
+        self._push(tree[inner[1::2]], left[inner[1::2]] + 1)
+        self._push(tree[inner[0::2]], left[inner[0::2]])
+
+    def _add_nodes(self, nodes, counts):
+        """Growth ids `first`, `first + 1`, ... for the given new nodes, and
+        whether each is to be split (it fails every leaf test)."""
+        first = self.n_nodes
+        self.n_nodes += nodes.shape[0]
+        if self.n_nodes > self.left.shape[0]:
+            for name in ("nodes", "counts", "feature", "threshold", "left"):
+                old = getattr(self, name)
+                new = np.zeros((2 * self.n_nodes,) + old.shape[1:], dtype=old.dtype)
+                new[:first] = old[:first]
+                setattr(self, name, new)
+        new = slice(first, self.n_nodes)
+        self.nodes[new], self.counts[new] = nodes, counts
+        self.feature[new] = self.left[new] = -1
+        size = nodes[:, 2]
         leaf = (counts.max(axis=1) == size) | (size < self.min_samples_split)
         if self.max_depth is not None:
-            leaf |= depth >= self.max_depth
-        self._leaves(tree[leaf], ids[leaf], counts[leaf], size[leaf])
-        keep = ~leaf
-        for t, *entry in zip(tree[keep].tolist(), ids[keep].tolist(), start[keep].tolist(),
-                             end[keep].tolist(), depth[keep].tolist(), counts[keep].tolist()):
-            self.stacks[t].append(entry)
+            leaf |= nodes[:, 3] >= self.max_depth
+        return first, ~leaf
 
-    def _leaves(self, tree, ids, counts, size):
-        """Leaf nodes, each of the majority class (ties to the lowest index)."""
-        classes = counts.argmax(axis=1).tolist()
-        distributions = counts / size[:, None]
-        for t, i, c, distribution in zip(tree.tolist(), ids.tolist(), classes, distributions):
-            self.nodes[t][i] = TreeNode(class_index=c, class_distribution=distribution)
+    def _push(self, tree, ids):
+        """Stack each of `ids` on its tree's stack; a tree appears at most once."""
+        self.stack[tree, self.top[tree]] = ids
+        self.top[tree] += 1
 
-    def _unfinished(self, trees):
-        """The trees with nodes left to split; the others are assembled."""
-        active = []
-        for t in trees:
-            if self.stacks[t]:
-                active.append(t)
-            else:
-                self.roots[t] = _assemble(self.nodes[t])
-                self.nodes[t] = None
-        return active
+    def _score(self, node, counts, candidates):
+        """Best split of each node (rows of the node table) over its row of
+        `candidates`, with its rows reordered left child's first: per node the
+        decrease (-inf where no column has two values), feature, threshold,
+        left child's row count and class counts. Nodes go in blocks of about
+        equal size, each padded only to its own largest node."""
+        if node.shape[0] == 1:
+            return self._score_block(node, counts, candidates, int(node[0, 2]))
+        found = (np.empty(node.shape[0]), np.empty(node.shape[0], dtype=np.int64),
+                 np.empty(node.shape[0]), np.empty(node.shape[0], dtype=np.int64),
+                 np.empty_like(counts))
+        for b, width in self._blocks(node[:, 2], candidates.shape[1]):
+            for array, part in zip(found, self._score_block(node[b], counts[b], candidates[b],
+                                                             width)):
+                array[b] = part
+        return found
 
-    def _score(self, nodes, candidates, step, best):
-        """Score each of `nodes` (step positions) over its row of `candidates`,
-        write the found splits into `best` and reorder their rows. Nodes go in
-        blocks of about equal size, each padded only to its own largest node."""
-        tree, start, size, counts = step
-        order = np.argsort(size[nodes], kind="stable")
-        nodes, candidates = nodes[order], candidates[order]
+    def _score_block(self, node, counts, drawn, width):
+        """`_score` for one block of nodes padded to `width` rows."""
+        tree, start, size = node[:, 0], node[:, 1], node[:, 2]
+        padded = node.shape[0] > 1
+        if padded:
+            cut = np.arange(width)
+            own = cut < size[:, None]
+            pos = start[:, None] + cut * own  # padding repeats the node's first row
+            rows = self.samples[tree[:, None], pos]
+        else:  # one node: its rows are one slice
+            t, s = int(tree[0]), int(start[0])
+            rows = self.samples[t, s:s + width][None, :]
+        columns = self.features[rows[:, None, :], drawn[:, :, None]]
+        if padded:
+            np.copyto(columns, np.nan, where=~own[:, None, :])
+        decrease, f, threshold, n_left, left_counts, sorted_rows = _best_splits(
+            columns, self.labels[rows], counts, self.criterion)
+        # a node without a boundary has one value per column, so its rows keep
+        # their order
+        at = np.arange(node.shape[0])
+        reordered = rows[at[:, None], sorted_rows]
+        if padded:
+            # padding writes the node's new first row over itself
+            self.samples[tree[:, None], pos] = np.where(own, reordered, reordered[:, :1])
+        else:
+            self.samples[t, s:s + width] = reordered[0]
+        return decrease, drawn[at, f], threshold, n_left, left_counts
+
+    def _blocks(self, size, k):
+        """(node positions, padded width) of each block of nodes scored
+        together. Sorted by size, nodes fall in size classes (2^(e-1), 2^e],
+        so a block pads each node to under twice its rows, and a block holds
+        at most SPLIT_BLOCK_FLOATS child class counts unless one node alone
+        is larger."""
+        nodes = np.argsort(size, kind="stable")
         widths = size[nodes]
-        # size classes (2^(e-1), 2^e]: a block pads each node to under twice its rows
         size_class = np.frexp(widths - 1.0)[1]
         bounds = (np.nonzero(size_class[1:] != size_class[:-1])[0] + 1).tolist()
         for lo, hi in zip([0] + bounds, bounds + [nodes.size]):
-            width = int(widths[hi - 1])
-            per_node = 2 * candidates.shape[1] * (width - 1) * self.n_classes
+            per_node = 2 * k * (int(widths[hi - 1]) - 1) * self.n_classes
             per_block = max(1, SPLIT_BLOCK_FLOATS // per_node)
             for first in range(lo, hi, per_block):
-                block = slice(first, min(first + per_block, hi))
-                b, drawn = nodes[block], candidates[block]
-                cut = np.arange(width)
-                own = cut < size[b, None]
-                pos = start[b, None] + cut * own  # padding repeats the node's first row
-                rows = self.samples[tree[b, None], pos]
-                columns = self.features[rows[:, None, :], drawn[:, :, None]]
-                np.copyto(columns, np.inf, where=~own[:, None, :])
-                onehot = self.onehot_of[self.labels[rows]]
-                decrease, f, threshold = _best_splits(columns, onehot, counts[b], self.criterion)
-                at = np.arange(b.size)
-                # a node without a boundary has one value per column, so its
-                # rows all fall on one side and keep their order
-                go_left = columns[at, f] <= threshold[:, None]
-                reordered = rows[at[:, None], np.argsort(~go_left, axis=1, kind="stable")]
-                # padding writes the node's new first row over itself
-                self.samples[tree[b, None], pos] = np.where(own, reordered, reordered[:, :1])
-                best[0][b] = decrease
-                best[1][b] = drawn[at, f]
-                best[2][b] = threshold
-                best[3][b] = go_left.sum(axis=1)
-                best[4][b] = (go_left[:, None, :] @ onehot)[:, 0]  # exact: sums of 0s and 1s
-
-
-def _assemble(nodes) -> TreeNode:
-    """The frozen root of a tree from its nodes by id. A child's id is larger
-    than its parent's, so building in reverse id order needs no recursion."""
-    for i in range(len(nodes) - 1, -1, -1):
-        if not isinstance(nodes[i], TreeNode):
-            feature, threshold, left, right = nodes[i]
-            nodes[i] = TreeNode(feature_index=feature, threshold=threshold,
-                                left=nodes[left], right=nodes[right])
-    return nodes[0]
+                last = min(first + per_block, hi)
+                yield nodes[first:last], int(widths[last - 1])
 
 
 def fit_decision_tree(
@@ -395,42 +589,87 @@ def fit_decision_tree(
         raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
     if criterion not in ("entropy", "gini"):
         raise ValueError(f"criterion must be 'entropy' or 'gini', got {criterion!r}")
-    (root,), _ = _LockstepGrower(
+    _, feature, threshold, left, value, _ = _LockstepGrower(
         ds.features, ds.labels, np.arange(ds.n_samples)[None, :], ds.n_classes, criterion,
         max_depth, min_samples_split,
     ).grow()
     return DecisionTreeModel(
-        root=root,
         n_features=ds.n_features,
         n_classes=ds.n_classes,
         criterion=criterion,
         max_depth=max_depth,
         min_samples_split=min_samples_split,
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        value=value,
     )
 
 
-def _route(root: TreeNode, rows: np.ndarray) -> np.ndarray:
-    """Leaf class of every row of an (m, p) matrix: each node splits its whole
-    block of rows at once; values equal to a threshold go left, NaN goes right."""
-    labels = np.empty(rows.shape[0], dtype=np.int64)
-    stack = [(root, np.arange(rows.shape[0]))]
-    while stack:
-        node, at = stack.pop()
-        if node.is_leaf:
-            labels[at] = node.class_index
-            continue
-        go_left = rows[at, node.feature_index] <= node.threshold
-        for child, block in ((node.left, at[go_left]), (node.right, at[~go_left])):
-            if block.size:
-                stack.append((child, block))
-    return labels
+# (tree, row) pairs routed together by one level sweep; rows go in blocks of
+# about this many pairs (65 rows through a 500-tree forest), the fastest of
+# 2^13 to 2^17 for 3000 rows through the default forest on 30 rows
+SWEEP_BLOCK_PAIRS = 1 << 15
+
+
+def _sweep_table(roots, model) -> tuple:
+    """What one level of the sweep reads per node: the column to read, the
+    threshold, the left child and the leaf class. A leaf reads a padding
+    column of zeros against +inf and its left child is itself, so a pair that
+    reached its leaf stays there. The trees go deepest first, with the number
+    of trees still deeper than each level and each tree's place in that order,
+    so a level steps only the trees that have nodes below it."""
+    leaf = model.left == -1
+    depth = np.zeros(leaf.size, dtype=np.int64)
+    level, d = roots[~leaf[roots]], 0
+    while level.size:
+        d += 1
+        children = np.concatenate([model.left[level], model.left[level] + 1])
+        depth[children] = d
+        level = children[~leaf[children]]
+    tree_depth = np.maximum.reduceat(depth, roots)
+    order = np.argsort(-tree_depth, kind="stable")
+    deeper = (tree_depth[:, None] > np.arange(tree_depth.max())).sum(axis=0)
+    return (
+        roots[order],
+        np.where(leaf, model.n_features, model.feature),
+        np.where(leaf, np.inf, model.threshold),
+        np.where(leaf, np.arange(leaf.size), model.left),
+        model.value.argmax(axis=1),
+        deeper.tolist(),
+        np.argsort(order),
+    )
+
+
+def _leaf_classes(sweep, rows: np.ndarray):
+    """Leaf class of every (tree, row) pair, as (first row, (trees, b) classes)
+    for each block of b rows. Every pair takes one step per level of its
+    tree: values at or below a threshold go left, others go right, NaN as
+    +inf."""
+    roots, column, threshold, left, leaf_class, deeper, place = sweep
+    m, p = rows.shape
+    block = max(1, SWEEP_BLOCK_PAIRS // roots.size)
+    for first in range(0, m, block):
+        b = min(block, m - first)
+        padded = np.zeros((b, p + 1))
+        padded[:, :p] = rows[first:first + b]
+        np.copyto(padded, np.inf, where=np.isnan(padded))
+        cells = padded.ravel()
+        row_start = np.arange(b) * (p + 1)
+        node = np.repeat(roots[:, None], b, axis=1)
+        for k in deeper:
+            step = node[:k]
+            step[...] = left[step] + (cells[row_start + column[step]] > threshold[step])
+        yield first, leaf_class[node[place]]
 
 
 def predict_tree(model: DecisionTreeModel, x):
     """Class index of one row (an int), or of each row of an (m, p) matrix (an
     (m,) array); values equal to a threshold go left, NaN goes right."""
     rows, single = as_rows(x, model.n_features)
-    labels = _route(model.root, rows)
+    labels = np.empty(rows.shape[0], dtype=np.int64)
+    for first, classes in _leaf_classes(model._sweep, rows):
+        labels[first:first + classes.shape[1]] = classes[0]
     return int(labels[0]) if single else labels
 
 
@@ -465,51 +704,41 @@ def fit_random_forest(
         samples = np.array([rng.integers(0, n, size=n) for rng in rngs])
     else:
         samples = np.tile(np.arange(n), (n_trees, 1))
-    roots, per_tree = _LockstepGrower(
+    roots, feature, threshold, left, value, per_tree = _LockstepGrower(
         ds.features, ds.labels, samples, ds.n_classes, "gini", max_depth, min_samples_split,
         m_try=m_try, rngs=rngs,
     ).grow()
-    trees = [
-        DecisionTreeModel(
-            root=root,
-            n_features=p,
-            n_classes=ds.n_classes,
-            criterion="gini",
-            max_depth=max_depth,
-            min_samples_split=min_samples_split,
-        )
-        for root in roots
-    ]
     importance = np.zeros(p)
     for row in per_tree:  # summed in tree order, one tree at a time
         importance += row
     importance = np.maximum(importance / n_trees, 0.0)
     return ForestModel(
-        trees=tuple(trees),
         n_trees=n_trees,
         m_try=m_try,
         seed=seed,
         importance=importance,
         n_features=p,
         n_classes=ds.n_classes,
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        roots=roots,
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        value=value,
     )
-
-
-def _staged_votes(model: ForestModel, rows: np.ndarray):
-    """The (m, n_classes) vote tally after each tree in turn, updated in place."""
-    votes = np.zeros((rows.shape[0], model.n_classes), dtype=np.int64)
-    at = np.arange(rows.shape[0])
-    for tree in model.trees:
-        votes[at, _route(tree.root, rows)] += 1
-        yield votes
 
 
 def forest_votes(model: ForestModel, x) -> np.ndarray:
     """Per-class vote counts over the forest's trees: (n_classes,) for one row,
     (m, n_classes) for an (m, p) matrix."""
     rows, single = as_rows(x, model.n_features)
-    for votes in _staged_votes(model, rows):
-        pass
+    c = model.n_classes
+    votes = np.empty((rows.shape[0], c), dtype=np.int64)
+    for first, classes in _leaf_classes(model._sweep, rows):
+        b = classes.shape[1]
+        votes[first:first + b] = np.bincount(
+            (np.arange(b) * c + classes).ravel(), minlength=b * c).reshape(b, c)
     return votes[0] if single else votes
 
 
@@ -526,10 +755,13 @@ def forest_error_trace(model: ForestModel, train: Dataset, holdout: Dataset | No
 
     def staged_errors(ds: Dataset) -> np.ndarray:
         rows, _ = as_rows(ds.features, model.n_features)
-        return np.array([
-            float(np.mean(np.argmax(votes, axis=1) != ds.labels))
-            for votes in _staged_votes(model, rows)
-        ])
+        wrong = np.zeros(model.n_trees, dtype=np.int64)
+        for first, classes in _leaf_classes(model._sweep, rows):
+            # votes of each row after each tree in turn, ties to the lowest class
+            staged = np.cumsum(classes[:, :, None] == np.arange(model.n_classes), axis=0)
+            labels = ds.labels[first:first + classes.shape[1]]
+            wrong += (staged.argmax(axis=2) != labels).sum(axis=1)
+        return wrong / ds.n_samples
 
     resub = staged_errors(train)
     held = staged_errors(holdout) if holdout is not None else None

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 import scipy
 
-from ecobench import Dataset, save_csv
+from ecobench import (
+    Dataset,
+    fit_decision_tree,
+    load_model,
+    predict_tree,
+    save_csv,
+    standardize,
+)
 from ecobench.cli import entry
 
 
@@ -172,18 +179,21 @@ def test_fit_predict_round_trip_recovers_labels(tmp_path, capsys):
     assert predicted == expected
 
 
-def test_fit_too_deep_to_save_exits_cleanly(tmp_path, capsys):
-    # the 1499-deep tree fits, but saving it nests deeper than Python recurses
+def test_fit_deep_tree_saves_loads_and_predicts(tmp_path):
+    # alternating labels on one feature grow a 1499-deep chain of splits,
+    # which a file of flat node arrays holds at any depth
     n = 1500
     ds = Dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2, ("x",), ("A", "B"))
     path = tmp_path / "deep.csv"
     save_csv(ds, path, label_column="sediment")
     rc = entry(["fit", "--data", str(path), "--algorithm", "dt",
                 "--out", str(tmp_path / "dt.json")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "recursion" in err
-    assert "Traceback" not in err
+    assert rc == 0
+    bundle = load_model(tmp_path / "dt.json")
+    train, scaling = standardize(ds)
+    in_process = predict_tree(fit_decision_tree(train), scaling.apply(ds.features))
+    assert np.array_equal(bundle.predict(ds.features), in_process)
+    assert np.array_equal(in_process, ds.labels)
 
 
 def test_fit_svm_prints_parameter_summary(tmp_path, capsys):

@@ -159,8 +159,21 @@ def _no_model(record):
     del record["model"]
 
 
-def _no_threshold(record):
-    del record["model"]["trees"][0]["root"]["threshold"]
+def _dropped_threshold(record):
+    del record["model"]["threshold"][0]
+
+
+def _child_out_of_range(record):
+    record["model"]["left"][0] = len(record["model"]["left"])
+
+
+def _child_in_next_tree(record):
+    record["model"]["left"][0] = record["model"]["roots"][1]
+
+
+def _roots_out_of_order(record):
+    roots = record["model"]["roots"]
+    roots[1], roots[2] = roots[2], roots[1]
 
 
 def _text_weights(record):
@@ -187,7 +200,11 @@ def _number_priors(record):
     ("KNN", _no_k, "model: k: missing"),
     ("KNN", _non_object, "model: expected an object, got list"),
     ("NB", _no_model, "model: missing"),
-    ("RF", _no_threshold, "model: trees: root: internal nodes need a feature, a threshold"),
+    ("RF", _dropped_threshold, "model: threshold: expected shape ("),
+    ("RF", _child_out_of_range, "model: left: node 0's children "),
+    ("DT", _child_out_of_range, "model: left: node 0's children "),
+    ("RF", _child_in_next_tree, "model: left: node 0's children "),
+    ("RF", _roots_out_of_order, "model: roots: expected increasing node ids from 0"),
     ("LR", _text_weights, "model: weights: could not convert string to float"),
     ("SVM", _null_bias, "model: machines: bias: float() argument"),
     ("LDA", _unknown_algorithm, "unknown algorithm 'XX'"),
@@ -205,30 +222,68 @@ def test_malformed_bundle_is_a_value_error_naming_the_field(tmp_path, name, dama
         load_model(path)
 
 
-# Bundles written by `ecobench fit` at format version 1, with their predictions:
+# Bundles written by `ecobench fit`, with their predictions:
 #   ecobench gen-data --out train.csv --n-per-class 4 --seed 3
 #   ecobench gen-data --out rows.csv --n-per-class 5 --seed 4
 #   ecobench fit --data train.csv --seed 5 --algorithm ALG [--params P] --out NAME.json
 #   ecobench predict --model NAME.json --data rows.csv --out NAME.labels
 # with P n_trees=3 for RF, epochs=50 for ANN, max_iter=200 for LR and
-# kernel=linear for SVM-linear.
-_FORMAT_1 = Path(__file__).parent / "data" / "v1"
+# kernel=linear for SVM-linear: every algorithm at format version 1 in
+# data/v1, the tree models at format version 2 in data/v2.
+_DATA = Path(__file__).parent / "data"
+
+
+def _load_and_predict(directory, name):
+    bundle = load_model(_DATA / directory / f"{name}.json")
+    rows = load_csv(_DATA / "v1" / "rows.csv", "sediment")
+    labels = [bundle.class_names[i] for i in bundle.predict(rows.features)]
+    expected = (_DATA / directory / f"{name}.labels").read_text(encoding="utf-8").split()
+    assert labels == expected
+    return bundle
+
+
+def _resave(bundle, path):
+    save_model(path, bundle.algorithm, bundle.model, bundle.scaling,
+               bundle.feature_names, bundle.class_names)
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
     "name", ["DT", "RF", "ANN", "SVM", "SVM-linear", "LDA", "KNN", "LR", "NB"]
 )
 def test_format_1_bundles_load_predict_and_resave_unchanged(tmp_path, name):
-    path = _FORMAT_1 / f"{name}.json"
-    bundle = load_model(path)
-    rows = load_csv(_FORMAT_1 / "rows.csv", "sediment")
-    labels = [bundle.class_names[i] for i in bundle.predict(rows.features)]
-    expected = (_FORMAT_1 / f"{name}.labels").read_text(encoding="utf-8").split()
-    assert labels == expected
-    again = tmp_path / "again.json"
-    save_model(again, bundle.algorithm, bundle.model, bundle.scaling,
-               bundle.feature_names, bundle.class_names)
-    assert json.loads(again.read_text(encoding="utf-8")) == json.loads(
-        path.read_text(encoding="utf-8")
-    )
-    assert again.stat().st_size == path.stat().st_size
+    bundle = _load_and_predict("v1", name)
+    again = _resave(bundle, tmp_path / "again.json")
+    assert again["version"] == FORMAT_VERSION == 2
+    if name in ("DT", "RF"):
+        # a tree is saved flat now; the flat file reloads to the same model
+        reloaded = load_model(tmp_path / "again.json")
+        _assert_identical(reloaded.model, bundle.model)
+        assert np.array_equal(reloaded.predict(load_csv(_DATA / "v1" / "rows.csv", "sediment")
+                                               .features),
+                              bundle.predict(load_csv(_DATA / "v1" / "rows.csv", "sediment")
+                                             .features))
+    else:
+        original = json.loads((_DATA / "v1" / f"{name}.json").read_text(encoding="utf-8"))
+        assert {**again, "version": 1} == original
+
+
+@pytest.mark.parametrize("name", ["DT", "RF"])
+def test_format_2_tree_bundles_load_predict_and_resave_unchanged(tmp_path, name):
+    bundle = _load_and_predict("v2", name)
+    original = json.loads((_DATA / "v2" / f"{name}.json").read_text(encoding="utf-8"))
+    assert _resave(bundle, tmp_path / "again.json") == original
+    # the same trees as their format-1 files, to the bit
+    _assert_identical(bundle.model, load_model(_DATA / "v1" / f"{name}.json").model)
+
+
+def test_format_1_tree_with_a_wrong_leaf_class_is_rejected(tmp_path):
+    record = json.loads((_DATA / "v1" / "DT.json").read_text(encoding="utf-8"))
+    leaf = record["model"]["root"]["left"]
+    assert leaf["class_distribution"] == [0.0, 1.0, 0.0]
+    leaf["class_index"] = 0
+    path = tmp_path / "DT.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: model: root: class_index: not the largest class_distribution entry")):
+        load_model(path)

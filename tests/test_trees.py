@@ -2,12 +2,15 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecobench import (
     Dataset,
@@ -24,7 +27,7 @@ from ecobench import (
 )
 from ecobench import trees
 from ecobench.dataset import _CLASS_NAME_POOL
-from ecobench.trees import TreeNode, _best_splits
+from ecobench.trees import DecisionTreeModel, _best_splits
 
 
 def _names(p):
@@ -183,11 +186,63 @@ def test_grower_terminates_when_the_midpoint_is_not_between_the_values(column):
     assert len(out["bagged"]) == 3
 
 
+def _stump(**arrays):
+    """A one-split tree over 2 features and 2 classes, with some arrays replaced."""
+    table = dict(feature=[1, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                 value=[[0.0, 0.0], [1.0, 0.0], [0.25, 0.75]])
+    table.update(arrays)
+    return DecisionTreeModel(n_features=2, n_classes=2, criterion="gini", max_depth=None,
+                             min_samples_split=2, **table)
+
+
 def test_leaf_rejects_a_non_finite_distribution():
-    for distribution in ([np.nan, np.nan], [np.inf, 0.0], [1.5, np.nan], [np.inf, -np.inf]):
-        with pytest.raises(ValueError, match="finite and sum to 1"):
-            TreeNode(class_index=0, class_distribution=distribution)
-    assert TreeNode(class_index=1, class_distribution=[0.25, 0.75]).is_leaf
+    for distribution in ([np.nan, np.nan], [np.inf, 0.0], [1.5, np.nan], [np.inf, -np.inf],
+                         [0.5, 0.6]):
+        with pytest.raises(ValueError, match="value: leaf 2's class distribution is not finite "
+                                             "or does not sum to 1"):
+            _stump(value=[[0.0, 0.0], [1.0, 0.0], distribution])
+    leaf = _stump().root.right
+    assert leaf.is_leaf and leaf.class_index == 1
+    assert leaf.class_distribution.tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ({"threshold": [0.5, 0.0]}, "threshold: expected shape (3,) for 3 nodes, got (2,)"),
+    ({"value": [[0.0, 0.0], [1.0, 0.0]]}, "value: expected shape (3, 2) for 3 nodes, got (2, 2)"),
+    ({"left": []}, "left: expected one entry per node and at least one node"),
+    ({"left": [2, -1, -1]}, "left: node 0's children 2 and 3 are not later nodes of its tree"),
+    ({"left": [0, -1, -1]}, "left: node 0's children 0 and 1 are not later nodes of its tree"),
+    ({"left": [-2, -1, -1]}, "left: node 0's children -2 and -1 are not later nodes of its tree"),
+    ({"left": [1.5, -1, -1]}, "left: expected whole numbers"),
+    ({"feature": [2, -1, -1]}, "feature: node 0 splits on feature 2 of 2"),
+    ({"feature": [-1, -1, -1]}, "feature: node 0 splits on feature -1 of 2"),
+    ({"threshold": [np.nan, 0.0, 0.0]}, "threshold: node 0 has a non-finite threshold"),
+    ({"threshold": [-np.inf, 0.0, 0.0]}, "threshold: node 0 has a non-finite threshold"),
+])
+def test_tree_model_rejects_a_node_table_the_sweep_cannot_route(arrays, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _stump(**arrays)
+
+
+def test_root_view_reads_the_node_arrays():
+    model = fit_decision_tree(_blob_dataset(5, gap=1.0))
+    seen, stack = [], [model.root]
+    while stack:
+        node = stack.pop()
+        seen.append(node.index)
+        i = node.index
+        if node.is_leaf:
+            assert model.left[i] == -1 and node.left is None and node.right is None
+            assert node.feature_index is None and node.threshold is None
+            assert node.class_index == int(np.argmax(model.value[i]))
+            assert node.class_distribution.tobytes() == model.value[i].tobytes()
+        else:
+            assert (node.left.index, node.right.index) == (model.left[i], model.left[i] + 1)
+            assert node.feature_index == model.feature[i] and node.class_index is None
+            assert node.threshold == model.threshold[i] and node.class_distribution is None
+            stack += [node.right, node.left]
+    assert sorted(seen) == list(range(model.left.size))
+    assert not model.value.flags.writeable and not model.left.flags.writeable
 
 
 def test_tree_split_tie_breaks_prefer_low_feature_then_low_threshold():
@@ -236,7 +291,12 @@ def _best_split_loop(features, onehot, candidates, criterion):
         decreases = parent - children
         i = int(np.argmax(decreases))
         if best is None or decreases[i] > best[0]:
-            threshold = float((ordered[boundaries[i]] + ordered[boundaries[i] + 1]) / 2.0)
+            lower, upper = ordered[boundaries[i]], ordered[boundaries[i] + 1]
+            with np.errstate(over="ignore"):
+                middle = (lower + upper) / 2.0
+            # the midpoint, or the lower value where it rounds onto the upper
+            # one or overflows
+            threshold = float(middle if middle < upper and np.isfinite(middle) else lower)
             best = (float(decreases[i]), int(f), threshold)
     return best
 
@@ -283,10 +343,10 @@ def test_best_split_is_bit_identical_to_per_feature_loop():
             for criterion in ("gini", "entropy"):
                 expected = _best_split_loop(features, onehot, candidates, criterion)
                 block = _best_splits(
-                    features[:, list(candidates)].T[None], onehot[None], onehot.sum(axis=0)[None],
+                    features[:, list(candidates)].T[None], labels[None], onehot.sum(axis=0)[None],
                     criterion,
                 )
-                decrease, f, threshold = (value[0] for value in block)
+                decrease, f, threshold = (value[0] for value in block[:3])
                 got = None if decrease == -np.inf else (decrease, candidates[f], threshold)
                 compared += 1
                 if expected is None:
@@ -307,9 +367,10 @@ def test_best_split_is_bit_identical_to_per_feature_loop():
 
 class _PerNodeGrower:
     """Reference grower: one node of one tree per iteration, in pre-order from an
-    explicit stack, splitting with the per-feature loop. `events` counts the
-    nodes that widened their drawn candidates and the impure nodes left as
-    leaves because no column had two distinct values."""
+    explicit stack, splitting with the per-feature loop; a split's children
+    take the next two free node ids. `events` counts the nodes that widened
+    their drawn candidates and the impure nodes left as leaves because no
+    column had two distinct values."""
 
     def __init__(self, features, labels, n_classes, criterion, max_depth,
                  min_samples_split, m_try=None, rng=None, events=None):
@@ -327,28 +388,27 @@ class _PerNodeGrower:
         self.importance = np.zeros(self.n_features)
 
     def grow(self):
-        preorder = []
-        stack = [(np.arange(self.n_total), 0)]
+        """The tree's (feature, threshold, left, value) node arrays."""
+        feature, threshold, left, value = [-1], [0.0], [-1], [np.zeros(self.n_classes)]
+        stack = [(np.arange(self.n_total), 0, 0)]
         while stack:
-            indices, depth = stack.pop()
+            indices, depth, i = stack.pop()
             split = self._split(indices, depth)
-            if isinstance(split, TreeNode):
-                preorder.append(split)
+            if isinstance(split, np.ndarray):
+                value[i] = split
                 continue
-            feature, threshold, go_left = split
-            preorder.append((feature, threshold))
-            stack.append((indices[~go_left], depth + 1))
-            stack.append((indices[go_left], depth + 1))
-        built = []
-        for entry in reversed(preorder):
-            if not isinstance(entry, TreeNode):
-                left = built.pop()
-                right = built.pop()
-                entry = TreeNode(feature_index=entry[0], threshold=entry[1], left=left, right=right)
-            built.append(entry)
-        return built.pop()
+            feature[i], threshold[i], go_left = split
+            left[i] = len(left)
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            value += [np.zeros(self.n_classes)] * 2
+            stack.append((indices[~go_left], depth + 1, left[i] + 1))
+            stack.append((indices[go_left], depth + 1, left[i]))
+        return np.array(feature), np.array(threshold), np.array(left), np.array(value)
 
     def _split(self, indices, depth):
+        """The leaf class distribution, or (feature, threshold, go-left mask)."""
         labels = self.labels[indices]
         n = indices.size
         counts = np.bincount(labels, minlength=self.n_classes).astype(np.float64)
@@ -357,7 +417,7 @@ class _PerNodeGrower:
             or (self.max_depth is not None and depth >= self.max_depth)
             or n < self.min_samples_split
         ):
-            return TreeNode(class_index=int(np.argmax(counts)), class_distribution=counts / n)
+            return counts / n
         features = self.features[indices]
         onehot = np.eye(self.n_classes)[labels]
         every = range(self.n_features)
@@ -371,7 +431,7 @@ class _PerNodeGrower:
             best = _best_split_loop(features, onehot, every, self.criterion)
         if best is None:
             self.events["impure_leaves"] = self.events.get("impure_leaves", 0) + 1
-            return TreeNode(class_index=int(np.argmax(counts)), class_distribution=counts / n)
+            return counts / n
         decrease, feature, threshold = best
         self.events["negative"] = self.events.get("negative", 0) + (decrease < 0)
         go_left = features[:, feature] <= threshold
@@ -384,36 +444,32 @@ class _PerNodeGrower:
 
 def _per_node_forest(ds, n_trees, m_try, seed, bootstrap=True, max_depth=None,
                      min_samples_split=2, events=None):
-    """Roots and importance of `fit_random_forest`, one tree after another."""
+    """Node arrays of each tree and the importance of `fit_random_forest`,
+    one tree after another."""
     children = np.random.SeedSequence(seed).spawn(n_trees)
-    roots, importance = [], np.zeros(ds.n_features)
+    grown, importance = [], np.zeros(ds.n_features)
     for child in children:
         rng = np.random.default_rng(child)
         n = ds.n_samples
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         grower = _PerNodeGrower(ds.features[rows], ds.labels[rows], ds.n_classes, "gini",
                                 max_depth, min_samples_split, m_try=m_try, rng=rng, events=events)
-        roots.append(grower.grow())
+        grown.append(grower.grow())
         importance += grower.importance
-    return roots, np.maximum(importance / n_trees, 0.0)
+    return grown, np.maximum(importance / n_trees, 0.0)
 
 
-def _assert_same_nodes(got, expected):
-    """Node for node: feature, threshold bits, leaf class and distribution bytes."""
-    stack = [(got, expected)]
-    while stack:
-        a, b = stack.pop()
-        assert a.is_leaf == b.is_leaf
-        if b.is_leaf:
-            assert type(a.class_index) is int and a.class_index == b.class_index
-            assert a.class_distribution.dtype == b.class_distribution.dtype
-            assert a.class_distribution.shape == b.class_distribution.shape
-            assert a.class_distribution.tobytes() == b.class_distribution.tobytes()
-        else:
-            assert type(a.feature_index) is int and a.feature_index == b.feature_index
-            assert type(a.threshold) is float
-            assert np.float64(a.threshold).tobytes() == np.float64(b.threshold).tobytes()
-            stack += [(a.right, b.right), (a.left, b.left)]
+def _assert_same_nodes(model, expected):
+    """Node for node: the model's arrays equal the reference's, floats byte for byte."""
+    feature, threshold, left, value = expected
+    assert model.feature.dtype == model.left.dtype == np.int64
+    assert model.threshold.dtype == model.value.dtype == np.float64
+    assert np.array_equal(model.left, left)
+    split = left != -1
+    assert np.array_equal(model.feature[split], feature[split])
+    assert np.all(model.feature[~split] == -1)
+    assert model.threshold.tobytes() == threshold.tobytes()
+    assert model.value.tobytes() == value.tobytes()
 
 
 def _growth_tables(rng, sizes=(2, 3, 5, 12, 30, 64, 200)):
@@ -453,7 +509,7 @@ def test_lockstep_tree_matches_per_node_grower():
                                           min_samples_split=min_samples_split)
                 grower = _PerNodeGrower(ds.features, ds.labels, ds.n_classes, criterion,
                                         max_depth, min_samples_split, events=events)
-                _assert_same_nodes(model.root, grower.grow())
+                _assert_same_nodes(model, grower.grow())
     assert tables[-1].n_samples == 900
     assert events["impure_leaves"] > 0 and events["at_threshold"] > 0
 
@@ -476,10 +532,10 @@ def test_lockstep_forest_matches_per_tree_grower(settings):
         n_trees = 3 if ds.n_samples > 200 else 7
         model = fit_random_forest(ds, n_trees=n_trees, seed=seed, **kwargs)
         kwargs.pop("m_try", None)
-        roots, importance = _per_node_forest(ds, n_trees, model.m_try, seed, events=events,
+        grown, importance = _per_node_forest(ds, n_trees, model.m_try, seed, events=events,
                                              **kwargs)
-        for tree, root in zip(model.trees, roots):
-            _assert_same_nodes(tree.root, root)
+        for tree, expected in zip(model.trees, grown):
+            _assert_same_nodes(tree, expected)
         assert model.importance.tobytes() == importance.tobytes()
     if "m_try" not in settings:
         assert events["widened"] > 0
@@ -491,21 +547,21 @@ def test_lockstep_forest_in_many_blocks_matches_per_tree_grower(monkeypatch):
     blocks = []
     best_splits = trees._best_splits
 
-    def recording(columns, onehot, totals, criterion):
+    def recording(columns, labels, totals, criterion):
         # each block pads its nodes to under twice their own row counts
         assert columns.shape[2] < 2 * totals.sum(axis=1).min()
         blocks.append(columns.shape)
-        return best_splits(columns, onehot, totals, criterion)
+        return best_splits(columns, labels, totals, criterion)
 
     monkeypatch.setattr(trees, "_best_splits", recording)
     ds = _blob_dataset(9, n_per=25, p=6, gap=1.5)
-    roots, importance = _per_node_forest(ds, 40, 2, 4)
+    grown, importance = _per_node_forest(ds, 40, 2, 4)
     for budget in (1, 600, trees.SPLIT_BLOCK_FLOATS):
         monkeypatch.setattr(trees, "SPLIT_BLOCK_FLOATS", budget)
         blocks.clear()
         model = fit_random_forest(ds, n_trees=40, m_try=2, seed=4)
-        for tree, root in zip(model.trees, roots):
-            _assert_same_nodes(tree.root, root)
+        for tree, expected in zip(model.trees, grown):
+            _assert_same_nodes(tree, expected)
         assert model.importance.tobytes() == importance.tobytes()
         widest = max(nodes for nodes, _, _ in blocks)
         if budget == 1:
@@ -522,7 +578,7 @@ def test_first_trees_of_a_forest_equal_a_smaller_forest():
     small = fit_random_forest(ds, n_trees=4, seed=8)
     large = fit_random_forest(ds, n_trees=13, seed=8)
     for a, b in zip(small.trees, large.trees[:4]):
-        _assert_same_nodes(a.root, b.root)
+        _assert_same_nodes(a, (b.feature, b.threshold, b.left, b.value))
 
 
 def test_tree_depth_and_split_size_limits():
@@ -696,10 +752,8 @@ def test_forest_error_trace_format():
     assert resub_only.strip().splitlines()[0] == "n_trees,resubstitution_error"
 
 
-def test_forest_error_trace_matches_per_row_oracle():
-    ds = _blob_dataset(103, n_per=10, gap=1.0)
-    hold = _blob_dataset(107, n_per=6, gap=1.0)
-    model = fit_random_forest(ds, n_trees=9, seed=4)
+def _assert_error_trace_matches_oracle(model, ds, hold):
+    """`forest_error_trace` equals a per-row, tree-by-tree vote tally."""
 
     def staged(data):
         tallies = np.zeros((data.n_samples, model.n_classes), dtype=np.int64)
@@ -721,6 +775,12 @@ def test_forest_error_trace_matches_per_row_oracle():
     assert forest_error_trace(model, ds) == resub_only
 
 
+def test_forest_error_trace_matches_per_row_oracle():
+    ds = _blob_dataset(103, n_per=10, gap=1.0)
+    hold = _blob_dataset(107, n_per=6, gap=1.0)
+    _assert_error_trace_matches_oracle(fit_random_forest(ds, n_trees=9, seed=4), ds, hold)
+
+
 def test_forest_validation():
     ds = _blob_dataset(101)
     with pytest.raises(ValueError, match="n_trees"):
@@ -729,3 +789,74 @@ def test_forest_validation():
         fit_random_forest(ds, n_trees=2, m_try=0)
     with pytest.raises(ValueError, match="m_try"):
         fit_random_forest(ds, n_trees=2, m_try=ds.n_features + 1)
+
+
+# Adversarial tables for the oracle suite: per column, normal draws, a few
+# levels, adjacent doubles (1, 1+eps, 1+2eps), huge values whose midpoints
+# overflow, a constant, or a copy of the previous column; 2 to 12 classes, the
+# first few of them with one row each.
+_COLUMN_KINDS = ("normal", "levels", "adjacent", "huge", "constant", "duplicate")
+_ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _adversarial_tables(draw):
+    c = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 24))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "normal":
+            column = rng.normal(size=n)
+        elif kind == "levels":
+            column = rng.integers(0, 3, size=n).astype(float)
+        elif kind == "adjacent":
+            column = 1.0 + rng.integers(0, 3, size=n) * _EPS
+        elif kind == "huge":
+            column = rng.choice([1e308, 1.5e308, 1.7e308, -1e308, -1.5e308], size=n)
+        elif kind == "constant":
+            column = np.full(n, 2.5)
+        else:
+            column = columns[-1].copy() if columns else np.full(n, -1.0)
+        columns.append(column)
+    singles = draw(st.integers(0, min(c, n) - 1))
+    labels = np.r_[np.arange(singles), rng.integers(singles, c, size=n - singles)]
+    return Dataset(np.column_stack(columns), rng.permutation(labels), _names(len(kinds)),
+                   tuple(f"c{j}" for j in range(c)))
+
+
+@_ORACLE_SETTINGS
+@given(_adversarial_tables(), st.sampled_from(["entropy", "gini"]),
+       st.sampled_from([None, 1, 3]), st.integers(0, 2**32 - 1))
+def test_flat_tree_matches_per_node_grower_on_adversarial_tables(ds, criterion, max_depth, seed):
+    model = fit_decision_tree(ds, max_depth=max_depth, criterion=criterion)
+    grower = _PerNodeGrower(ds.features, ds.labels, ds.n_classes, criterion, max_depth, 2)
+    _assert_same_nodes(model, grower.grow())
+    rows = _probe_rows([model], ds.n_features, np.random.default_rng(seed))
+    assert predict_tree(model, rows).tolist() == [_oracle_leaf(model.root, x, [0]) for x in rows]
+
+
+@_ORACLE_SETTINGS
+@given(_adversarial_tables(), st.integers(1, 7), st.integers(0, 2**16),
+       st.sampled_from([None, 2]), st.booleans())
+def test_flat_forest_matches_per_tree_grower_on_adversarial_tables(ds, n_trees, seed, max_depth,
+                                                                    bootstrap):
+    model = fit_random_forest(ds, n_trees=n_trees, seed=seed, max_depth=max_depth,
+                              bootstrap=bootstrap)
+    grown, importance = _per_node_forest(ds, n_trees, model.m_try, seed, bootstrap=bootstrap,
+                                         max_depth=max_depth)
+    for tree, expected in zip(model.trees, grown):
+        _assert_same_nodes(tree, expected)
+    assert model.importance.tobytes() == importance.tobytes()
+    rows = _probe_rows(model.trees, ds.n_features, np.random.default_rng(seed))
+    votes = np.zeros((rows.shape[0], ds.n_classes), dtype=np.int64)
+    for i, x in enumerate(rows):
+        for tree in model.trees:
+            votes[i, _oracle_leaf(tree.root, x, [0])] += 1
+    assert np.array_equal(forest_votes(model, rows), votes)
+    finite = rows[np.isfinite(rows).all(axis=1)]
+    hold = Dataset(finite, np.arange(finite.shape[0]) % ds.n_classes, ds.feature_names,
+                   ds.class_names)
+    _assert_error_trace_matches_oracle(model, ds, hold)
