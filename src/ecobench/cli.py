@@ -25,6 +25,7 @@ from .dataset import (
     generate_ecological,
     load_csv,
     parse_feature_rows,
+    read_csv_table,
     save_csv,
     standardize,
     train_test_split,
@@ -60,6 +61,19 @@ def _row_record(row: evaluation.ReportRow, include_timings: bool) -> dict:
     return record
 
 
+def _row_cells(record: dict, float_format: str) -> list[str]:
+    """The _ROW_FIELDS cells of a row record as text: floats in `float_format`,
+    None as an empty cell, anything else as str."""
+    cells = []
+    for name in _ROW_FIELDS:
+        value = record[name]
+        if isinstance(value, float):
+            cells.append(format(value, float_format))
+        else:
+            cells.append("" if value is None else str(value))
+    return cells
+
+
 def report_to_json(report: evaluation.BenchmarkReport, include_timings: bool = False) -> str:
     payload = {
         "seed": report.master_seed,
@@ -75,15 +89,7 @@ def report_to_csv(report: evaluation.BenchmarkReport, include_timings: bool = Fa
     writer.writerow(list(_ROW_FIELDS) + ["error"])
     for row in report.rows:
         record = _row_record(row, include_timings)
-        cells = []
-        for name in _ROW_FIELDS:
-            value = record[name]
-            if isinstance(value, float):
-                cells.append(f"{value:.10g}")
-            else:
-                cells.append("" if value is None else str(value))
-        cells.append(record.get("error", ""))
-        writer.writerow(cells)
+        writer.writerow(_row_cells(record, ".10g") + [record.get("error", "")])
     return out.getvalue()
 
 
@@ -96,14 +102,7 @@ def report_to_markdown(report: evaluation.BenchmarkReport, include_timings: bool
     ]
     failures = []
     for row in report.rows:
-        record = _row_record(row, include_timings)
-        cells = []
-        for name in _ROW_FIELDS:
-            value = record[name]
-            if isinstance(value, float):
-                cells.append(f"{value:.4f}")
-            else:
-                cells.append("" if value is None else str(value))
+        cells = _row_cells(_row_record(row, include_timings), ".4f")
         lines.append("| " + " | ".join(cells) + " |")
         if not row.ok:
             failures.append(f"- {row.algorithm}/{row.process}: {row.error}")
@@ -235,16 +234,7 @@ def _read_feature_rows(path, bundle) -> np.ndarray:
     (extra columns such as the label are ignored); otherwise the file must
     have exactly the trained column count, taken in order.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
+    header, rows = read_csv_table(path, "input")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     p = bundle.n_features

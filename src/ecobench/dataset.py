@@ -226,22 +226,34 @@ def parse_feature_rows(rows, header, positions) -> np.ndarray:
     return out
 
 
+def read_csv_table(path, kind: str) -> tuple[list[str], list[list[str]]]:
+    """The stripped header cells and the data rows of a headered UTF-8 CSV.
+
+    A missing file is a FileNotFoundError naming the `kind` of file; a file
+    that is not UTF-8, that the csv module cannot parse or that has no header
+    row is a ValueError beginning with its path.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    return [h.strip() for h in header], rows
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Read a headered CSV, taking `label_column` as the class and the rest as features.
 
     Labels are encoded by first appearance in file order; row order is preserved.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
-    header = [h.strip() for h in header]
+    header, rows = read_csv_table(path, "dataset")
     if header.count(label_column) == 0:
         raise ValueError(f"label column {label_column!r} not in header {header}")
     if header.count(label_column) > 1:

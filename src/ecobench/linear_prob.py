@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset, as_rows, stack_datasets, top_class
 
@@ -21,7 +20,8 @@ class LdaModel:
     """Equal-covariance Gaussian discriminant with Fisher projection axes.
 
     `pooled_covariance` is stored with its diagonal regularization applied;
-    every axis beta satisfies beta' C beta = 1 under that matrix.
+    every axis beta satisfies beta' C beta = 1 under that matrix. A fitted
+    axis's largest-magnitude coefficient is positive (the first one on ties).
     """
 
     class_means: np.ndarray
@@ -84,10 +84,17 @@ def fit_lda(ds: Dataset) -> LdaModel:
         diff = means[j] - overall
         between += priors[j] * np.outer(diff, diff)
 
-    # eigh normalizes the eigenvectors to v' C v = 1 and sorts ascending
-    eigenvalues, vectors = scipy.linalg.eigh(between, pooled)
-    order = np.argsort(eigenvalues)[::-1][: min(c - 1, p)]
-    axes = vectors[:, order].T
+    # The generalized problem B v = lambda C v in the steps LAPACK's sygvd
+    # takes: C = L L', the ordinary eigenproblem of L^-1 B L^-T, and v = L^-T u,
+    # which gives v' C v = 1. A C that is not positive definite raises
+    # np.linalg.LinAlgError, a ValueError.
+    chol = np.linalg.cholesky(pooled)
+    whitened = np.linalg.solve(chol, np.linalg.solve(chol, between).T)
+    _, vectors = np.linalg.eigh(whitened)
+    axes = np.linalg.solve(chol.T, vectors[:, ::-1][:, : min(c - 1, p)]).T
+    # pinned signs: each axis's largest-magnitude coefficient is positive
+    peaks = axes[np.arange(axes.shape[0]), np.argmax(np.abs(axes), axis=1)]
+    axes *= np.sign(peaks)[:, None]
 
     return LdaModel(
         class_means=means,

@@ -228,7 +228,10 @@ def load_model(path) -> ModelBundle:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    record = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(record, dict) or record.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     version = record.get("version")

@@ -6,17 +6,20 @@ import json
 
 import numpy as np
 import pytest
-import scipy
 
 from ecobench import (
+    BenchmarkReport,
+    BinaryAggregates,
     Dataset,
+    MeasureSet,
+    ReportRow,
     fit_decision_tree,
     load_model,
     predict_tree,
     save_csv,
     standardize,
 )
-from ecobench.cli import entry
+from ecobench.cli import entry, report_to_csv, report_to_markdown
 
 
 def _gen(tmp_path, name="eco.csv", seed=42, extra=()):
@@ -77,13 +80,13 @@ def test_bench_synthetic_writes_full_report(tmp_path, capsys):
 
 
 # sha256 of `bench --synthetic --seed 42 --format json` (see ROADMAP.md); the
-# float bits behind it are only fixed for one numpy/scipy build
+# float bits behind it are only fixed for one numpy build
 DEFAULT_REPORT_SHA256 = "553bbd49bdf1f4e05f49e10632ba1c21b4c194b6379bbba18ae8cb85e84e33f7"
 
 
 @pytest.mark.skipif(
-    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
-    reason="the default report hash is pinned under numpy 2.4.6 and scipy 1.17.1",
+    np.__version__ != "2.4.6",
+    reason="the default report hash is pinned under numpy 2.4.6",
 )
 def test_default_report_matches_pinned_hash(tmp_path):
     report_path = tmp_path / "report.json"
@@ -128,6 +131,39 @@ def test_bench_csv_and_markdown_formats(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "| Algorithm | Process |" in out
     assert "| NB | I |" in out
+
+
+def _hand_built_report():
+    ok = ReportRow("LDA", "II", BinaryAggregates(tp=2 / 3, fp=1 / 6, tn=1.5, fn=1 / 6),
+                   MeasureSet(recall=0.8, precision=0.8, accuracy=13 / 15, f_score=0.8),
+                   wall_ms=12.34567, seed=7)
+    failed = ReportRow("SVM", "III", None, None, wall_ms=3.5, seed=8,
+                       error='fold 2: "gamma", must be > 0')
+    return BenchmarkReport(42, {"n_samples": 30}, (ok, failed))
+
+
+def test_csv_and_markdown_reports_are_byte_exact():
+    report = _hand_built_report()
+    csv_rows = (
+        "algorithm,process,tp,fp,tn,fn,recall,precision,accuracy,f_score,wall_ms,error\r\n"
+        "LDA,II,0.6666666667,0.1666666667,1.5,0.1666666667,0.8,0.8,0.8666666667,0.8,{},\r\n"
+        'SVM,III,,,,,,,,,,"fold 2: ""gamma"", must be > 0"\r\n'
+    )
+    assert report_to_csv(report) == csv_rows.format("0")
+    assert report_to_csv(report, include_timings=True) == csv_rows.format("12.346")
+    table = (
+        "| Algorithm | Process | T_p | F_p | T_n | F_n | Recall | Precision | Accuracy "
+        "| F-Score | Wall ms |\n"
+        "|---|---|---|---|---|---|---|---|---|---|---|\n"
+        "| LDA | II | 0.6667 | 0.1667 | 1.5000 | 0.1667 | 0.8000 | 0.8000 | 0.8667 | 0.8000 "
+        "| {} |\n"
+        "| SVM | III |  |  |  |  |  |  |  |  |  |\n"
+        "\n"
+        "Failed cells:\n"
+        '- SVM/III: fold 2: "gamma", must be > 0\n'
+    )
+    assert report_to_markdown(report) == table.format("0.0000")
+    assert report_to_markdown(report, include_timings=True) == table.format("12.3460")
 
 
 def test_bench_demands_exactly_one_source(tmp_path, capsys):
@@ -346,3 +382,45 @@ def test_predict_with_malformed_bundle_exits_1_without_traceback(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model_path}: model")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text.encode("utf-8")[:42],
+    lambda text: b"\xff" + text.encode("utf-8"),
+    lambda text: b"[" * 100_000 + b"]" * 100_000,
+], ids=["truncated", "not-utf-8", "nested-too-deep"])
+def test_predict_with_undecodable_model_file_names_it(tmp_path, capsys, damage):
+    data = _gen(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert entry(["fit", "--data", str(data), "--algorithm", "knn",
+                  "--out", str(model_path)]) == 0
+    model_path.write_bytes(damage(model_path.read_text(encoding="utf-8")))
+    capsys.readouterr()
+    assert entry(["predict", "--model", str(model_path), "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {model_path}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["inspect", "fit", "bench", "predict"])
+def test_non_utf8_csv_is_an_error_naming_the_file(tmp_path, capsys, command):
+    data = _gen(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert entry(["fit", "--data", str(data), "--algorithm", "knn",
+                  "--out", str(model_path)]) == 0
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"a,b,sediment\n1,2,S\xe9diment\n3,4,G\n")
+    argv = {
+        "inspect": ["inspect", "--data", str(bad)],
+        "fit": ["fit", "--data", str(bad), "--algorithm", "nb",
+                "--out", str(tmp_path / "nb.json")],
+        "bench": ["bench", "--data", str(bad)],
+        "predict": ["predict", "--model", str(model_path), "--data", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert entry(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

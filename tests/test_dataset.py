@@ -108,6 +108,13 @@ def test_load_csv_error_reporting(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             load_csv(path, "label")
+    # a cell past the csv module's field size limit is a csv.Error, which
+    # the reader turns into a ValueError naming the file
+    huge = tmp_path / "huge.csv"
+    huge.write_text("a,label\n" + "1" * 200_000 + ",x\n2,y\n", encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        load_csv(huge, "label")
+    assert str(caught.value).startswith(f"{huge}: field larger than field limit")
 
 
 def test_save_csv_rejects_label_name_collision(tmp_path):

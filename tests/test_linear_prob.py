@@ -1,5 +1,11 @@
 """Discriminant analysis, softmax regression, and Gaussian naive Bayes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +20,7 @@ from ecobench import (
     fit_logistic,
     fit_naive_bayes,
     lda_score,
+    load_csv,
     logistic_loss_and_gradient,
     mahalanobis_sq,
     nb_posterior,
@@ -165,6 +172,80 @@ def test_fit_lda_validation():
     flat = Dataset(np.ones((6, 2)), [0, 0, 0, 1, 1, 1], ("a", "b"), ("X", "Y"))
     with pytest.raises(ValueError, match="constant"):
         fit_lda(flat)
+
+
+def _between_scatter(model):
+    centered = model.class_means - model.priors @ model.class_means
+    return (centered.T * model.priors) @ centered
+
+
+def _assert_sign_rule(axes):
+    for axis in axes:
+        assert axis[np.argmax(np.abs(axis))] > 0
+
+
+def test_lda_axes_match_the_stored_generalized_eigensolve():
+    # tests/data/v1/LDA.json was written by a generalized symmetric
+    # eigensolver (LAPACK sygvd) from train.csv, standardized as `fit` does
+    data = Path(__file__).resolve().parent / "data" / "v1"
+    stored = json.loads((data / "LDA.json").read_text(encoding="utf-8"))
+    expected = np.array(stored["model"]["discriminant_axes"])
+    train, _ = standardize(load_csv(data / "train.csv", "sediment"))
+    axes = fit_lda(train).discriminant_axes
+    assert axes.shape == expected.shape
+    for axis, reference in zip(axes, expected):
+        sign = np.sign(axis @ reference)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(axis - sign * reference)) <= 1e-12 * scale
+    _assert_sign_rule(axes)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lda_axes_solve_the_generalized_eigenproblem(seed):
+    rng = np.random.default_rng(300 + seed)
+    p, c = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+    counts = rng.integers(2, 25, size=c)
+    features = np.vstack([
+        rng.normal(rng.normal(0.0, 2.0, size=p), rng.uniform(0.2, 3.0, size=p), size=(m, p))
+        for m in counts
+    ]) * rng.uniform(0.01, 100.0, size=p)
+    labels = np.repeat(np.arange(c), counts)
+    model = fit_lda(Dataset(features, labels, _names(p), tuple("ABCDEF"[:c])))
+    axes, cov, between = model.discriminant_axes, model.pooled_covariance, _between_scatter(model)
+    assert axes.shape == (min(c - 1, p), p)
+
+    gram = axes @ cov @ axes.T
+    assert np.allclose(gram, np.eye(len(axes)), rtol=0.0, atol=1e-12)
+    eigenvalues = np.einsum("ij,jk,ik->i", axes, between, axes)
+    norms = np.linalg.norm(between, 2), np.linalg.norm(cov, 2)
+    for lam, v in zip(eigenvalues, axes):
+        residual = np.linalg.norm(between @ v - lam * (cov @ v))
+        assert residual <= 1e-10 * (norms[0] + abs(lam) * norms[1]) * np.linalg.norm(v)
+    assert np.all(np.diff(eigenvalues) <= 1e-12 * eigenvalues[0])
+    _assert_sign_rule(axes)
+
+
+def test_import_and_lda_fit_and_predict_load_no_package_beyond_numpy():
+    # numpy is the one runtime dependency: after numpy and numpy.random (whose
+    # Cython modules load two helper modules), importing ecobench and
+    # fitting and applying an LDA model adds no top-level module but
+    # ecobench's own and the standard library's
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, numpy, numpy.random\n"
+        "def tops(): return {m.split('.')[0] for m in sys.modules}\n"
+        "before = tops()\n"
+        "import ecobench\n"
+        "ds, _ = ecobench.standardize(ecobench.generate_ecological(ecobench.SyntheticSpec()))\n"
+        "ecobench.predict_lda(ecobench.fit_lda(ds), ds.features)\n"
+        "print(sorted(tops() - before - set(sys.stdlib_module_names)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['ecobench']\n"
 
 
 # ---------------------------------------------------------------- logistic
