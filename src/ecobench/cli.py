@@ -134,8 +134,6 @@ def _parse_params(text: str | None) -> dict:
         key, raw = key.strip(), raw.strip()
         if raw.lower() in ("none", "null"):
             value = None
-        elif raw.lower() in ("true", "false"):
-            value = raw.lower() == "true"
         else:
             try:
                 value = int(raw)

@@ -44,6 +44,26 @@ def top_class(scores):
     return int(labels) if scores.ndim == 1 else labels
 
 
+def freeze_arrays(record, dtype, *names) -> None:
+    """Set each named array field of the frozen dataclass instance `record`
+    to a read-only `dtype` array (float64 or int64) of its value, copied only
+    where the dtype changes. Values that are not integers must be finite, and
+    whole numbers in an int64 field (a saved file's arrays load as float64);
+    a ValueError names the field otherwise."""
+    for name in names:
+        array = np.asarray(getattr(record, name))
+        if array.dtype.kind not in "biu":
+            array = np.asarray(array, dtype=np.float64)
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} contains NaN or infinite values")
+            if dtype == np.int64 and not (
+                    (np.abs(array) < 2.0**53) & (array == np.trunc(array))).all():
+                raise ValueError(f"{name}: expected whole numbers")
+        array = np.asarray(array, dtype=dtype)
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable n x p feature matrix with integer class labels and names."""
@@ -54,12 +74,11 @@ class Dataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        freeze_arrays(self, np.float64, "features")
+        freeze_arrays(self, np.int64, "labels")
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
+        features, labels = self.features, self.labels
         if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ValueError(f"features must be a nonempty 2-D matrix, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
@@ -70,12 +89,8 @@ class Dataset:
             raise ValueError("feature_names length must match the number of feature columns")
         if len(self.class_names) < 2:
             raise ValueError("at least 2 class names are required")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features contain NaN or infinite values")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise ValueError("labels contain indices outside the class_names range")
-        features.flags.writeable = False
-        labels.flags.writeable = False
 
     @property
     def n_samples(self) -> int:
@@ -115,13 +130,10 @@ class ScalingParams:
     std_devs: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        stds = np.asarray(self.std_devs, dtype=np.float64)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "std_devs", stds)
-        if means.shape != stds.shape or means.ndim != 1:
+        freeze_arrays(self, np.float64, "means", "std_devs")
+        if self.means.shape != self.std_devs.shape or self.means.ndim != 1:
             raise ValueError("means and std_devs must be 1-D arrays of equal length")
-        if np.any(stds < 0):
+        if np.any(self.std_devs < 0):
             raise ValueError("std_devs must be nonnegative")
 
     def apply(self, features: np.ndarray) -> np.ndarray:
@@ -227,7 +239,8 @@ def parse_feature_rows(rows, header, positions) -> np.ndarray:
 
 
 def read_csv_table(path, kind: str) -> tuple[list[str], list[list[str]]]:
-    """The stripped header cells and the data rows of a headered UTF-8 CSV.
+    """The stripped header cells and the data rows of a headered UTF-8 CSV,
+    with or without a byte-order mark.
 
     A missing file is a FileNotFoundError naming the `kind` of file; a file
     that is not UTF-8, that the csv module cannot parse or that has no header
@@ -237,7 +250,7 @@ def read_csv_table(path, kind: str) -> tuple[list[str], list[list[str]]]:
     if not path.exists():
         raise FileNotFoundError(f"{kind} file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,12 +101,17 @@ class AlgorithmSpec:
                 f"unknown algorithm {self.name!r}; choose from {', '.join(ALGORITHM_ORDER)}"
             )
         object.__setattr__(self, "params", tuple((str(k), v) for k, v in self.params))
-        allowed = _REGISTRY[self.name].param_names
-        for key, _ in self.params:
+        allowed = _REGISTRY[self.name].param_types
+        for key, value in self.params:
             if key not in allowed:
-                raise ValueError(
-                    f"{self.name} does not take parameter {key!r}; allowed: {allowed or '(none)'}"
-                )
+                raise ValueError(f"{self.name} does not take parameter {key!r}; allowed: "
+                                 f"{', '.join(allowed) or '(none)'}")
+            types = typing.get_args(allowed[key]) or (allowed[key],)
+            # no parameter takes a bool, and an int serves where a float is expected
+            if isinstance(value, bool) or not (
+                    isinstance(value, types) or float in types and isinstance(value, int)):
+                names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+                raise ValueError(f"{self.name} parameter {key!r} takes {names}, got {value!r}")
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -148,7 +154,7 @@ class AlgorithmAdapter:
     model_class: type  # the dataclass `fit` returns, which model_io saves and loads
     fit: object
     predict_rows: object  # the module's predictor: one row -> int, (m, p) matrix -> (m,) labels
-    param_names: tuple[str, ...]
+    param_types: dict  # hyperparameter name -> the type its value must have, e.g. int | None
     # (trains, seed, params) -> per train its model or ValueError, for trains of
     # one shape fit in one loop; None fits one train at a time with `fit`
     fit_stacked: object = None
@@ -186,21 +192,21 @@ _REGISTRY = {
         DecisionTreeModel,
         lambda train, seed, p: fit_decision_tree(train, **p),
         predict_tree,
-        ("max_depth", "min_samples_split", "criterion"),
+        {"max_depth": int | None, "min_samples_split": int, "criterion": str},
     ),
     "RF": AlgorithmAdapter(
         "RF",
         ForestModel,
         lambda train, seed, p: fit_random_forest(train, seed=seed, **p),
         predict_forest,
-        ("n_trees", "m_try", "max_depth", "min_samples_split"),
+        {"n_trees": int, "m_try": int | None, "max_depth": int | None, "min_samples_split": int},
     ),
     "ANN": AlgorithmAdapter(
         "ANN",
         MlpModel,
         lambda train, seed, p: fit_mlp(train, seed=seed, **p)[0],
         predict_mlp,
-        ("q", "epochs", "learning_rate", "init_scale"),
+        {"q": int, "epochs": int, "learning_rate": float, "init_scale": float},
         lambda trains, seed, p: [
             r if isinstance(r, ValueError) else r[0]
             for r in fit_mlp_stacked(trains, seed=seed, **p)
@@ -211,28 +217,28 @@ _REGISTRY = {
         SvmMulticlassModel,
         _fit_svm,
         predict_svm,
-        ("cost", "tol", "kernel", "gamma"),
+        {"cost": float, "tol": float, "kernel": str, "gamma": float | None},
     ),
     "LDA": AlgorithmAdapter(
         "LDA",
         LdaModel,
         lambda train, seed, p: fit_lda(train),
         predict_lda,
-        (),
+        {},
     ),
     "KNN": AlgorithmAdapter(
         "KNN",
         KnnModel,
         lambda train, seed, p: fit_knn(train, **p),
         knn_predict,
-        ("k",),
+        {"k": int},
     ),
     "LR": AlgorithmAdapter(
         "LR",
         LogisticModel,
         lambda train, seed, p: fit_logistic(train, **p),
         predict_logistic,
-        ("learning_rate", "max_iter", "tolerance"),
+        {"learning_rate": float, "max_iter": int, "tolerance": float},
         lambda trains, seed, p: fit_logistic_stacked(trains, **p),
     ),
     "NB": AlgorithmAdapter(
@@ -240,7 +246,7 @@ _REGISTRY = {
         NaiveBayesModel,
         lambda train, seed, p: fit_naive_bayes(train),
         predict_nb,
-        (),
+        {},
     ),
 }
 

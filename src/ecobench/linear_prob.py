@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, as_rows, stack_datasets, top_class
+from .dataset import Dataset, as_rows, freeze_arrays, stack_datasets, top_class
 
 LDA_REGULARIZATION_EPSILON = 1e-8
 
@@ -31,10 +31,8 @@ class LdaModel:
     regularization_epsilon: float
 
     def __post_init__(self):
-        for name in ("class_means", "pooled_covariance", "priors", "discriminant_axes"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
+        freeze_arrays(self, np.float64, "class_means", "pooled_covariance", "priors",
+                      "discriminant_axes")
         if abs(self.priors.sum() - 1.0) > 1e-12:
             raise ValueError("priors must sum to 1")
         if not np.allclose(self.pooled_covariance, self.pooled_covariance.T):
@@ -179,14 +177,12 @@ class LogisticModel:
     loss_history: tuple[float, ...] = field(default=(), metadata={"save": False})
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", weights)
+        freeze_arrays(self, np.float64, "weights")
         object.__setattr__(self, "loss_history", tuple(self.loss_history))
-        if weights.ndim != 2 or weights.shape[0] < 2:
+        if self.weights.ndim != 2 or self.weights.shape[0] < 2:
             raise ValueError("weights must be a (c, p+1) matrix with c >= 2")
-        if np.any(weights[-1] != 0):
+        if np.any(self.weights[-1] != 0):
             raise ValueError("the last class's weight row must be pinned to zero")
-        weights.flags.writeable = False
 
     @property
     def n_classes(self) -> int:
@@ -341,10 +337,7 @@ class NaiveBayesModel:
     variance_floor: np.ndarray
 
     def __post_init__(self):
-        for name in ("priors", "means", "variances", "variance_floor"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
+        freeze_arrays(self, np.float64, "priors", "means", "variances", "variance_floor")
         if abs(self.priors.sum() - 1.0) > 1e-12:
             raise ValueError("priors must sum to 1")
         if np.any(self.variances <= 0):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, as_rows
+from .dataset import Dataset, as_rows, freeze_arrays
 
 KKT_TOLERANCE = 1e-3
 SUPPORT_THRESHOLD = 1e-8
@@ -84,18 +84,15 @@ class SvmBinaryModel:
     iterations: int
 
     def __post_init__(self):
-        sv = np.asarray(self.support_vectors, dtype=np.float64)
-        if sv.shape == (0,):  # a saved machine without support vectors keeps no width
-            sv = sv.reshape(0, 0)
-        dw = np.asarray(self.dual_weights, dtype=np.float64)
-        object.__setattr__(self, "support_vectors", sv)
-        object.__setattr__(self, "dual_weights", dw)
+        if np.shape(self.support_vectors) == (0,):
+            # a saved machine without support vectors keeps no width
+            object.__setattr__(self, "support_vectors", np.zeros((0, 0)))
+        freeze_arrays(self, np.float64, "support_vectors", "dual_weights")
+        sv, dw = self.support_vectors, self.dual_weights
         if sv.ndim != 2 or dw.shape != (sv.shape[0],):
             raise ValueError("support_vectors and dual_weights must align row for row")
         if np.any(np.abs(dw) > self.cost * (1 + 1e-12)):
             raise ValueError("dual weights must satisfy |alpha_i| <= cost")
-        sv.flags.writeable = False
-        dw.flags.writeable = False
 
     @property
     def n_support(self) -> int:
@@ -322,16 +319,13 @@ class KnnModel:
     n_classes: int
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        if features.ndim != 2 or labels.shape != (features.shape[0],):
+        freeze_arrays(self, np.float64, "features")
+        freeze_arrays(self, np.int64, "labels")
+        n = self.features.shape[0]
+        if self.features.ndim != 2 or self.labels.shape != (n,):
             raise ValueError("features must be (n, p) with one label per row")
-        if not 1 <= self.k <= features.shape[0]:
-            raise ValueError(f"k must be in [1, {features.shape[0]}], got {self.k}")
-        features.flags.writeable = False
-        labels.flags.writeable = False
+        if not 1 <= self.k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {self.k}")
 
 
 def fit_knn(ds: Dataset, k: int = 3) -> KnnModel:

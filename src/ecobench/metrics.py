@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import freeze_arrays
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -14,13 +16,12 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
+        freeze_arrays(self, np.int64, "counts")
+        counts = self.counts
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] < 1:
             raise ValueError(f"counts must be a square matrix, got shape {counts.shape}")
         if np.any(counts < 0):
             raise ValueError("confusion matrix entries must be nonnegative")
-        counts.flags.writeable = False
 
     @property
     def n_classes(self) -> int:

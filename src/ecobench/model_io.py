@@ -9,8 +9,8 @@ array becomes a nested list, a tuple a list and a nested dataclass an object.
 A field whose default is None is left out while it is None, unless its
 metadata has "save_none"; a field whose metadata has "save": False is not
 written (LR's loss history) and loads as its default. Loading converts each
-value by the field's type hint (arrays load as float64, a null or bare
-number in an array field is rejected, and a model casts its integer arrays),
+value by the field's type hint (arrays load as float64 and a null or bare
+number in an array field is rejected; a float must be finite, an int whole),
 and a malformed file is a ValueError naming the bad field.
 
 Format 2 saves a tree, and a forest, as flat per-node lists (`feature`,
@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,21 @@ def _converters(hint):
         decode, encode = _converters(typing.get_args(hint)[0])
         return (lambda value: tuple(decode(v) for v in value),
                 list if encode is None else lambda value: [encode(v) for v in value])
-    return hint, None
+    return {float: _decode_float, int: _decode_int}.get(hint, hint), None
+
+
+def _decode_float(value) -> float:
+    """A finite float from a JSON number."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"expected a finite number, got {number}")
+    return number
+
+
+def _decode_int(value) -> int:
+    """An int from a JSON whole number (3 or 3.0, not 3.5, true or "3")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
 
 
 def _decode_array(value) -> np.ndarray:

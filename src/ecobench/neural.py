@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, as_rows, stack_datasets, top_class
+from .dataset import Dataset, as_rows, freeze_arrays, stack_datasets, top_class
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,8 @@ class MlpModel:
     output_bias: np.ndarray
 
     def __post_init__(self):
-        for name in ("input_to_hidden", "hidden_bias", "hidden_to_output", "output_bias"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-            arr.flags.writeable = False
+        freeze_arrays(self, np.float64, "input_to_hidden", "hidden_bias", "hidden_to_output",
+                      "output_bias")
         p, q = self.input_to_hidden.shape
         c = self.output_bias.shape[0]
         if self.hidden_bias.shape != (q,) or self.hidden_to_output.shape != (q, c):

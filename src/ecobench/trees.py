@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, as_rows, top_class
+from .dataset import Dataset, as_rows, freeze_arrays, top_class
 
 
 def entropy(class_counts) -> float:
@@ -76,26 +76,15 @@ def information_gain(parent, partition) -> float:
     return entropy(parent) - conditional_entropy(partition)
 
 
-def _node_ids(values, name: str) -> np.ndarray:
-    """int64 ids from integers or from floats that are whole numbers (a saved
-    file's arrays load as float64)."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iu":
-        array = np.asarray(array, dtype=np.float64)
-        if not np.all((np.abs(array) < 2.0**53) & (array == np.trunc(array))):
-            raise ValueError(f"{name}: expected whole numbers")
-    return array.astype(np.int64, copy=False)
-
-
 def _checked_nodes(model, roots: np.ndarray) -> None:
-    """Cast `model`'s node arrays in place and reject any table the level sweep
-    could not route: arrays of unequal length, a child id outside its tree or
-    not above its parent's (so every walk moves down and ends), a split
-    feature out of range, a non-finite split threshold, or a leaf class
+    """Freeze `model`'s node arrays in place and reject any table the level
+    sweep could not route: arrays of unequal length, a child id outside its
+    tree or not above its parent's (so every walk moves down and ends), a
+    split feature out of range, a non-finite split threshold, or a leaf class
     distribution that is not finite or does not sum to 1. `roots` holds the
     first node id of each tree; a tree's nodes run up to the next root."""
-    left = _node_ids(model.left, "left")
-    feature = _node_ids(model.feature, "feature")
+    freeze_arrays(model, np.int64, "left", "feature")
+    left, feature = model.left, model.feature
     threshold = np.asarray(model.threshold, dtype=np.float64)
     value = np.asarray(model.value, dtype=np.float64)
     if left.ndim != 1 or left.shape[0] < 1:
@@ -136,10 +125,7 @@ def _checked_nodes(model, roots: np.ndarray) -> None:
         at = np.flatnonzero(leaves)[bad.argmax()]
         raise ValueError(f"value: leaf {at}'s class distribution is not finite "
                          "or does not sum to 1")
-    for name, array in (("left", left), ("feature", feature), ("threshold", threshold),
-                        ("value", value)):
-        array.flags.writeable = False
-        object.__setattr__(model, name, array)
+    freeze_arrays(model, np.float64, "threshold", "value")
 
 
 class NodeView:
@@ -235,18 +221,15 @@ class ForestModel:
     value: np.ndarray
 
     def __post_init__(self):
-        imp = np.asarray(self.importance, dtype=np.float64)
-        object.__setattr__(self, "importance", imp)
-        if imp.shape != (self.n_features,) or np.any(imp < 0):
+        freeze_arrays(self, np.float64, "importance")
+        freeze_arrays(self, np.int64, "roots")
+        roots = self.roots
+        if self.importance.shape != (self.n_features,) or np.any(self.importance < 0):
             raise ValueError("importance must be one nonnegative entry per feature")
-        imp.flags.writeable = False
-        roots = _node_ids(self.roots, "roots")
         if self.n_trees < 1 or roots.shape != (self.n_trees,):
             raise ValueError("roots: the forest must hold exactly n_trees >= 1 trees")
         if roots[0] != 0 or np.any(roots[1:] <= roots[:-1]):
             raise ValueError("roots: expected increasing node ids from 0")
-        roots.flags.writeable = False
-        object.__setattr__(self, "roots", roots)
         _checked_nodes(self, roots)
 
     @functools.cached_property

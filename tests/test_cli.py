@@ -368,6 +368,9 @@ def test_cli_surface_errors_exit_1(tmp_path, capsys):
     lambda record: record["model"].pop("k"),
     lambda record: record.pop("model"),
     lambda record: record.update(model="knn"),
+    lambda record: record["model"].update(k=3.7),
+    lambda record: record["model"]["features"][0].__setitem__(0, float("nan")),
+    lambda record: record["model"]["labels"].__setitem__(0, 0.5),
 ])
 def test_predict_with_malformed_bundle_exits_1_without_traceback(tmp_path, capsys, damage):
     data = _gen(tmp_path)
@@ -424,3 +427,52 @@ def test_non_utf8_csv_is_an_error_naming_the_file(tmp_path, capsys, command):
     assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("algorithm, params, message", [
+    ("knn", "k=abc", "KNN parameter 'k' takes int, got 'abc'"),
+    ("knn", "k=true", "KNN parameter 'k' takes int, got 'true'"),
+    ("rf", "n_trees=abc", "RF parameter 'n_trees' takes int, got 'abc'"),
+    ("ann", "q=2.5", "ANN parameter 'q' takes int, got 2.5"),
+    ("ann", "epochs=abc", "ANN parameter 'epochs' takes int, got 'abc'"),
+    ("svm", "cost=abc", "SVM parameter 'cost' takes float, got 'abc'"),
+    ("lr", "learning_rate=abc", "LR parameter 'learning_rate' takes float, got 'abc'"),
+    ("lr", "max_iter=1.5", "LR parameter 'max_iter' takes int, got 1.5"),
+    ("dt", "max_depth=1.5", "DT parameter 'max_depth' takes int or None, got 1.5"),
+])
+def test_fit_with_a_mistyped_param_exits_1_without_traceback(tmp_path, capsys, algorithm,
+                                                             params, message):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    assert entry(["fit", "--data", str(data), "--algorithm", algorithm, "--params", params,
+                  "--out", str(tmp_path / "m.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_csv_with_a_byte_order_mark_reads_like_one_without(tmp_path, capsys):
+    data = _gen(tmp_path)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("a,") and lines[0].endswith(",sediment")
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    # the label column first, so the mark sits before `sediment`
+    label_first = tmp_path / "bom_label_first.csv"
+    label_first.write_bytes(b"\xef\xbb\xbf" + "".join(
+        ",".join(cells[-1:] + cells[:-1]) + "\n"
+        for cells in (line.split(",") for line in lines)).encode("utf-8"))
+    model_path = tmp_path / "nb.json"
+    outputs, models = [], []
+    for path in (data, marked, label_first):
+        capsys.readouterr()
+        assert entry(["inspect", "--data", str(path)]) == 0
+        assert entry(["fit", "--data", str(path), "--algorithm", "nb",
+                      "--out", str(model_path)]) == 0
+        assert entry(["predict", "--model", str(model_path), "--data", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+        models.append(model_path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert models[0] == models[1] == models[2]
+    assert "\na," in outputs[0] and "\ufeff" not in outputs[0]

@@ -39,6 +39,8 @@ def test_dataset_validation():
         Dataset(x, np.zeros(4, dtype=int), ("a", "b"), ("X",))
     with pytest.raises(ValueError, match="NaN or infinite"):
         Dataset(np.array([[np.nan, 0.0]]), np.zeros(1, dtype=int), ("a", "b"), ("X", "Y"))
+    with pytest.raises(ValueError, match="labels: expected whole numbers"):
+        Dataset(x, [0.0, 1.0, 0.5, 1.0], ("a", "b"), ("X", "Y"))
     with pytest.raises(ValueError, match="outside the class_names range"):
         Dataset(x, np.full(4, 2), ("a", "b"), ("X", "Y"))
     with pytest.raises(ValueError, match="2-D matrix"):
@@ -140,6 +142,14 @@ def test_standardize_zero_variance_column_maps_to_zero():
     assert params.std_devs[0] == 0.0
     applied = params.apply(np.array([[123.0, 4.5]]))
     assert applied[0, 0] == 0.0
+
+
+def test_standardize_rejects_a_column_whose_std_overflows():
+    # the sample std of +-1e200 is inf; the column is an error, not zeros
+    ds = Dataset([[1e200, 1.0], [-1e200, 2.0], [1e200, 3.0]], [0, 1, 0], ("a", "b"), ("X", "Y"))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="std_devs contains NaN or infinite values"):
+        standardize(ds)
 
 
 def test_standardize_needs_two_rows():

@@ -1,5 +1,7 @@
 """Benchmark harness: process protocols, seeding, and report assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,22 @@ def test_make_algorithm_normalizes_and_validates():
         make_algorithm("lda", k=3)
     with pytest.raises(ValueError, match="does not take parameter"):
         make_algorithm("dt", bogus=1)
+
+
+def test_make_algorithm_checks_each_param_type():
+    # an int serves where a float is expected, None only where the type allows it
+    assert make_algorithm("svm", cost=1, gamma=None).param_dict() == {"cost": 1, "gamma": None}
+    assert make_algorithm("dt", max_depth=None, criterion="gini").param_dict()["max_depth"] is None
+    for name, params, message in [
+        ("knn", {"k": True}, "KNN parameter 'k' takes int, got True"),
+        ("knn", {"k": 3.0}, "KNN parameter 'k' takes int, got 3.0"),
+        ("knn", {"k": None}, "KNN parameter 'k' takes int, got None"),
+        ("dt", {"max_depth": 1.5}, "DT parameter 'max_depth' takes int or None, got 1.5"),
+        ("svm", {"cost": "abc"}, "SVM parameter 'cost' takes float, got 'abc'"),
+        ("lr", {"tolerance": False}, "LR parameter 'tolerance' takes float, got False"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_algorithm(name, **params)
 
 
 def test_derive_seed_is_stable_and_sensitive():

@@ -196,6 +196,24 @@ def _number_priors(record):
     record["model"]["priors"] = 0.5
 
 
+def _set(path, value):
+    """A damage that writes `value` at the key and index path under the record."""
+    def damage(record):
+        *parents, last = path
+        for key in parents:
+            record = record[key]
+        record[last] = value
+    return damage
+
+
+def _internal_value_nan(record):
+    first_split = next(i for i, child in enumerate(record["model"]["left"]) if child != -1)
+    record["model"]["value"][first_split][0] = float("nan")
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("name, damage, message", [
     ("KNN", _no_k, "model: k: missing"),
     ("KNN", _non_object, "model: expected an object, got list"),
@@ -210,6 +228,28 @@ def _number_priors(record):
     ("LDA", _unknown_algorithm, "unknown algorithm 'XX'"),
     ("NB", _null_priors, "model: priors: expected an array, got null"),
     ("NB", _number_priors, "model: priors: expected an array, got float"),
+    ("NB", _set(("model", "means", 0, 0), _NAN), "model: means contains NaN or infinite values"),
+    ("LDA", _set(("model", "class_means", 1, 2), _INF),
+     "model: class_means contains NaN or infinite values"),
+    ("LR", _set(("model", "weights", 0, 0), _NAN),
+     "model: weights contains NaN or infinite values"),
+    ("KNN", _set(("model", "features", 3, 1), -_INF),
+     "model: features contains NaN or infinite values"),
+    ("SVM", _set(("model", "machines", 0, "support_vectors", 0, 0), _NAN),
+     "model: machines: support_vectors contains NaN or infinite values"),
+    ("NB", _set(("scaling", "means", 0), _NAN), "scaling: means contains NaN or infinite values"),
+    ("RF", _set(("model", "importance", 0), _NAN),
+     "model: importance contains NaN or infinite values"),
+    ("DT", _internal_value_nan, "model: value contains NaN or infinite values"),
+    ("KNN", _set(("model", "labels", 0), 0.5), "model: labels: expected whole numbers"),
+    ("SVM", _set(("model", "machines", 1, "bias"), _NAN),
+     "model: machines: bias: expected a finite number, got nan"),
+    ("SVM", _set(("model", "kernel", "gamma"), _INF),
+     "model: kernel: gamma: expected a finite number, got inf"),
+    ("SVM", _set(("model", "cost"), _INF), "model: cost: expected a finite number, got inf"),
+    ("KNN", _set(("model", "k"), 3.7), "model: k: expected a whole number, got 3.7"),
+    ("KNN", _set(("model", "n_classes"), 2.5),
+     "model: n_classes: expected a whole number, got 2.5"),
 ])
 def test_malformed_bundle_is_a_value_error_naming_the_field(tmp_path, name, damage, message):
     ds, scaling, model = _fit_case(name)
@@ -220,6 +260,28 @@ def test_malformed_bundle_is_a_value_error_naming_the_field(tmp_path, name, dama
     path.write_text(json.dumps(record), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_model(path)
+
+
+def _arrays(value, where):
+    """(field path, array) of every ndarray inside a dataclass instance."""
+    if isinstance(value, np.ndarray):
+        yield where, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name), f"{where}.{f.name}")
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_every_array_of_a_loaded_bundle_is_read_only(tmp_path, name):
+    ds, scaling, model = _fit_case(name)
+    path = tmp_path / f"{name}.json"
+    save_model(path, name, model, scaling, ds.feature_names, ds.class_names)
+    arrays = dict(_arrays(load_model(path), "bundle"))
+    assert "bundle.scaling.means" in arrays and "bundle.scaling.std_devs" in arrays
+    assert [where for where, array in arrays.items() if array.flags.writeable] == []
 
 
 # Bundles written by `ecobench fit`, with their predictions:

@@ -218,6 +218,7 @@ def test_leaf_rejects_a_non_finite_distribution():
     ({"feature": [-1, -1, -1]}, "feature: node 0 splits on feature -1 of 2"),
     ({"threshold": [np.nan, 0.0, 0.0]}, "threshold: node 0 has a non-finite threshold"),
     ({"threshold": [-np.inf, 0.0, 0.0]}, "threshold: node 0 has a non-finite threshold"),
+    ({"threshold": [0.5, np.nan, 0.0]}, "threshold contains NaN or infinite values"),
 ])
 def test_tree_model_rejects_a_node_table_the_sweep_cannot_route(arrays, message):
     with pytest.raises(ValueError, match=re.escape(message)):
