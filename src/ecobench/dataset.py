@@ -12,10 +12,10 @@ import numpy as np
 ECO_FEATURE_NAMES = ("a", "b", "c", "d", "e", "depth", "pollution", "temperature")
 ECO_LABEL_COLUMN = "sediment"
 
-# Class name pool for synthetic sediment categories; the first three are the defaults.
-_CLASS_NAME_POOL = ("C", "G", "S", "T", "U", "V", "W", "X", "Y", "Z")
+# The synthetic sediment classes
+_CLASS_NAME_POOL = ("C", "G", "S")
 
-# Default per-class feature profiles (rows: class C, G, S; columns: ECO_FEATURE_NAMES).
+# Per-class feature profiles (rows: class C, G, S; columns: ECO_FEATURE_NAMES).
 # Species a-e are mean counts; depth in meters, pollution an index, temperature in deg C.
 _DEFAULT_CLASS_MEANS = (
     (10.0, 7.0, 5.0, 3.0, 2.0, 28.0, 6.0, 3.4),
@@ -44,24 +44,35 @@ def top_class(scores):
     return int(labels) if scores.ndim == 1 else labels
 
 
+def _frozen_array(value, dtype, name) -> np.ndarray:
+    """A read-only `dtype` array of `value`, copied only where the dtype changes."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biu":
+        array = np.asarray(array, dtype=np.float64)
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} contains NaN or infinite values")
+        if dtype == np.int64 and not (
+                (np.abs(array) < 2.0**53) & (array == np.trunc(array))).all():
+            raise ValueError(f"{name}: expected whole numbers")
+    array = np.asarray(array, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def freeze_arrays(record, dtype, *names) -> None:
     """Set each named array field of the frozen dataclass instance `record`
     to a read-only `dtype` array (float64 or int64) of its value, copied only
-    where the dtype changes. Values that are not integers must be finite, and
-    whole numbers in an int64 field (a saved file's arrays load as float64);
-    a ValueError names the field otherwise."""
+    where the dtype changes; a field holding a tuple of arrays gets a tuple
+    of such arrays. Values that are not integers must be finite, and whole numbers in
+    an int64 field (a saved file's arrays load as float64); a ValueError
+    names the field otherwise."""
     for name in names:
-        array = np.asarray(getattr(record, name))
-        if array.dtype.kind not in "biu":
-            array = np.asarray(array, dtype=np.float64)
-            if not np.isfinite(array).all():
-                raise ValueError(f"{name} contains NaN or infinite values")
-            if dtype == np.int64 and not (
-                    (np.abs(array) < 2.0**53) & (array == np.trunc(array))).all():
-                raise ValueError(f"{name}: expected whole numbers")
-        array = np.asarray(array, dtype=dtype)
-        array.flags.writeable = False
-        object.__setattr__(record, name, array)
+        value = getattr(record, name)
+        if isinstance(value, tuple) and all(isinstance(v, np.ndarray) for v in value):
+            value = tuple(_frozen_array(v, dtype, name) for v in value)
+        else:
+            value = _frozen_array(value, dtype, name)
+        object.__setattr__(record, name, value)
 
 
 @dataclass(frozen=True)
@@ -156,8 +167,8 @@ class FoldPlan:
     folds: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        folds = tuple(np.array(f, dtype=np.int64) for f in self.folds)
-        object.__setattr__(self, "folds", folds)
+        freeze_arrays(self, np.int64, "folds")
+        folds = self.folds
         if not folds:
             raise ValueError("a fold plan needs at least one fold")
         all_idx = np.concatenate(folds)
@@ -188,15 +199,14 @@ class SyntheticSpec:
 
     The generated table always has the 8 feature columns in ECO_FEATURE_NAMES:
     five species counts (a-e, nonnegative integers), depth (m, positive),
-    a pollution index (positive) and temperature (deg C). `separation` scales
-    each class profile's offset from the across-class center, in place, so
-    values > 1 pull the classes apart and values < 1 blend them.
+    a pollution index (positive) and temperature (deg C). The three sediment
+    classes C, G and S are fixed, each drawn from its own profile.
+    `separation` scales each class profile's offset from the across-class
+    center, in place, so values > 1 pull the classes apart and values < 1
+    blend them.
     """
 
     n_per_class: int = 10
-    class_count: int = 3
-    class_means: tuple[tuple[float, ...], ...] | None = None
-    class_spreads: tuple[tuple[float, ...], ...] | None = None
     separation: float = 1.0
     seed: int = 42
 
@@ -311,37 +321,18 @@ def standardize(ds: Dataset) -> tuple[Dataset, ScalingParams]:
     return Dataset(scaled, ds.labels, ds.feature_names, ds.class_names), params
 
 
-def train_test_split(
-    ds: Dataset, train_fraction: float, seed: int, stratified: bool = False
-) -> tuple[Dataset, Dataset]:
+def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split; train size is floor(train_fraction * n), at least 1."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = ds.n_samples
     if n < 2:
         raise ValueError("need at least 2 rows to split")
-    rng = np.random.default_rng(seed)
-    if stratified:
-        train_parts = []
-        test_parts = []
-        for k in range(ds.n_classes):
-            idx = np.flatnonzero(ds.labels == k)
-            if idx.size == 0:
-                continue
-            perm = idx[rng.permutation(idx.size)]
-            n_train = max(1, int(math.floor(train_fraction * idx.size)))
-            train_parts.append(perm[:n_train])
-            test_parts.append(perm[n_train:])
-        train_idx = np.sort(np.concatenate(train_parts))
-        test_idx = np.sort(np.concatenate(test_parts)) if any(
-            p.size for p in test_parts
-        ) else np.array([], dtype=np.int64)
-    else:
-        perm = rng.permutation(n)
-        n_train = max(1, int(math.floor(train_fraction * n)))
-        train_idx = np.sort(perm[:n_train])
-        test_idx = np.sort(perm[n_train:])
-    if train_idx.size == 0 or test_idx.size == 0:
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = max(1, int(math.floor(train_fraction * n)))
+    train_idx = np.sort(perm[:n_train])
+    test_idx = np.sort(perm[n_train:])
+    if test_idx.size == 0:
         raise ValueError(
             f"split with fraction {train_fraction} would leave an empty side for n={n}"
         )
@@ -362,39 +353,18 @@ def generate_ecological(spec: SyntheticSpec) -> Dataset:
     """Synthesize a seabed-style table from seeded class-conditional normal draws."""
     if spec.n_per_class <= 0:
         raise ValueError(f"n_per_class must be positive, got {spec.n_per_class}")
-    c = spec.class_count
-    if not 2 <= c <= len(_CLASS_NAME_POOL):
-        raise ValueError(f"class_count must be in [2, {len(_CLASS_NAME_POOL)}], got {c}")
-    p = len(ECO_FEATURE_NAMES)
-
-    if spec.class_means is None:
-        if c != 3:
-            raise ValueError("class_means must be given explicitly when class_count != 3")
-        means = np.array(_DEFAULT_CLASS_MEANS, dtype=np.float64)
-    else:
-        means = np.array(spec.class_means, dtype=np.float64)
-        if means.shape != (c, p):
-            raise ValueError(f"class_means must have shape ({c}, {p}), got {means.shape}")
-    if spec.class_spreads is None:
-        spreads = np.tile(np.array(_DEFAULT_SPREADS, dtype=np.float64), (c, 1))
-    else:
-        spreads = np.array(spec.class_spreads, dtype=np.float64)
-        if spreads.shape != (c, p):
-            raise ValueError(f"class_spreads must have shape ({c}, {p}), got {spreads.shape}")
-    if np.any(spreads <= 0):
-        raise ValueError("class_spreads must be positive")
-
+    means = np.array(_DEFAULT_CLASS_MEANS, dtype=np.float64)
     center = means.mean(axis=0)
     means = center + spec.separation * (means - center)
 
     rng = np.random.default_rng(spec.seed)
     blocks = []
-    for j in range(c):
-        draw = rng.normal(means[j], spreads[j], size=(spec.n_per_class, p))
+    for mean in means:
+        draw = rng.normal(mean, _DEFAULT_SPREADS, size=(spec.n_per_class, means.shape[1]))
         draw[:, :5] = np.maximum(np.rint(draw[:, :5]), 0.0)  # species counts
         draw[:, 5] = np.maximum(draw[:, 5], 0.1)  # depth stays positive
         draw[:, 6] = np.maximum(draw[:, 6], 0.01)  # pollution index stays positive
         blocks.append(draw)
     features = np.vstack(blocks)
-    labels = np.repeat(np.arange(c, dtype=np.int64), spec.n_per_class)
-    return Dataset(features, labels, ECO_FEATURE_NAMES, _CLASS_NAME_POOL[:c])
+    labels = np.repeat(np.arange(len(means), dtype=np.int64), spec.n_per_class)
+    return Dataset(features, labels, ECO_FEATURE_NAMES, _CLASS_NAME_POOL)

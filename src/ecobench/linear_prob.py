@@ -285,10 +285,6 @@ def fit_logistic_stacked(
     prev = [math.inf] * len(live)  # no settling test before the first step
     for it in range(max_iter + 1):
         losses, grad = _logistic_kernel(w, *inputs)
-        if it == max_iter:
-            for j, weights, loss, history in zip(live, w, losses, histories):
-                results[j] = LogisticModel(weights, max_iter, loss, history)
-            break
         # stop tests on Python floats: array-valued tests cost more than the
         # arithmetic at one fold and a few dozen rows
         keep = []
@@ -297,11 +293,12 @@ def fit_logistic_stacked(
                 results[live[pos]] = ValueError(
                     f"training loss became non-finite at iteration {it}")
                 continue
-            histories[pos].append(loss)
-            if 0.0 <= prev[pos] - loss < tolerance:
-                results[live[pos]] = LogisticModel(w[pos], it, loss, histories[pos])
-                continue
-            keep.append(pos)
+            if it < max_iter:
+                histories[pos].append(loss)
+                if not 0.0 <= prev[pos] - loss < tolerance:
+                    keep.append(pos)
+                    continue
+            results[live[pos]] = LogisticModel(w[pos], it, loss, histories[pos])
         if len(keep) < len(live):
             if not keep:
                 break

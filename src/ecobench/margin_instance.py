@@ -3,7 +3,8 @@ dual coordinate optimization, and brute-force k-nearest neighbors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,7 @@ class KernelSpec:
     """Inner-product rule: plain dot product, or a radial basis of width 1/gamma."""
 
     kind: str
-    gamma: float | None = field(default=None, metadata={"save_none": True})
+    gamma: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
@@ -218,9 +219,12 @@ class SvmMulticlassModel:
         object.__setattr__(self, "machines", tuple(self.machines))
         object.__setattr__(self, "class_pairs", tuple(tuple(p) for p in self.class_pairs))
         object.__setattr__(self, "class_names", tuple(self.class_names))
-        expected = self.n_classes * (self.n_classes - 1) // 2
-        if len(self.machines) != expected or len(self.class_pairs) != expected:
-            raise ValueError(f"need exactly {expected} pairwise machines")
+        pairs = tuple(itertools.combinations(range(self.n_classes), 2))
+        if len(self.machines) != len(pairs):
+            raise ValueError(f"need exactly {len(pairs)} pairwise machines")
+        if self.class_pairs != pairs:
+            raise ValueError(f"class_pairs: expected each pair (a, b) with "
+                             f"0 <= a < b < {self.n_classes} once, in order")
 
     @property
     def converged(self) -> bool:
@@ -326,6 +330,8 @@ class KnnModel:
             raise ValueError("features must be (n, p) with one label per row")
         if not 1 <= self.k <= n:
             raise ValueError(f"k must be in [1, {n}], got {self.k}")
+        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
+            raise ValueError(f"labels: expected class indices in [0, {self.n_classes})")
 
 
 def fit_knn(ds: Dataset, k: int = 3) -> KnnModel:

@@ -5,13 +5,13 @@ names), the standardization parameters, and the model itself, so a saved
 model can score new feature files exactly as the in-process one would.
 
 One codec writes every model from its dataclass fields, in field order: an
-array becomes a nested list, a tuple a list and a nested dataclass an object.
-A field whose default is None is left out while it is None, unless its
-metadata has "save_none"; a field whose metadata has "save": False is not
-written (LR's loss history) and loads as its default. Loading converts each
-value by the field's type hint (arrays load as float64 and a null or bare
-number in an array field is rejected; a float must be finite, an int whole),
-and a malformed file is a ValueError naming the bad field.
+array becomes a nested list, a tuple a list, a nested dataclass an object
+and None null. A field whose metadata has "save": False is not written
+(LR's loss history) and loads as its default; every other field must be
+present. Loading converts each value by the field's type hint (arrays load
+as float64 and a null or bare number in an array field is rejected; a float
+must be finite, an int whole), and a malformed file is a ValueError naming
+the bad field.
 
 Format 2 saves a tree, and a forest, as flat per-node lists (`feature`,
 `threshold`, `left`, `value`, and a forest's `roots`). Format 1 nested each
@@ -78,8 +78,8 @@ def _decode_array(value) -> np.ndarray:
 
 @functools.cache
 def _plan(cls, **overrides) -> tuple:
-    """(name, omitted while None, may be None, decode, encode) per saved field
-    of `cls`, built once per class; `overrides` replaces some type hints."""
+    """(name, may be None, decode, encode) per saved field of `cls`, built
+    once per class; `overrides` replaces some type hints."""
     hints = {**typing.get_type_hints(cls), **overrides}
     plan = []
     for f in dataclasses.fields(cls):
@@ -89,21 +89,18 @@ def _plan(cls, **overrides) -> tuple:
         optional = type(None) in typing.get_args(hint)
         if optional:  # X | None
             hint = next(a for a in typing.get_args(hint) if a is not type(None))
-        omit = f.default is None and not f.metadata.get("save_none", False)
-        plan.append((f.name, omit, optional, *_converters(hint)))
+        plan.append((f.name, optional, *_converters(hint)))
     return tuple(plan)
 
 
 def _encode(value, plan=None):
     """JSON-ready record of a dataclass instance."""
     record = {}
-    for name, omit, _, _, encode in plan or _plan(type(value)):
+    for name, _, _, encode in plan or _plan(type(value)):
         field_value = getattr(value, name)
-        if field_value is None:
-            if not omit:
-                record[name] = None
-        else:
-            record[name] = field_value if encode is None else encode(field_value)
+        if field_value is not None and encode is not None:
+            field_value = encode(field_value)
+        record[name] = field_value
     return record
 
 
@@ -112,10 +109,8 @@ def _decode(cls, record, plan=None):
     if not isinstance(record, dict):
         raise TypeError(f"expected an object, got {type(record).__name__}")
     kwargs = {}
-    for name, omit, optional, decode, _ in plan or _plan(cls):
+    for name, optional, decode, _ in plan or _plan(cls):
         if name not in record:
-            if omit:
-                continue
             raise ValueError(f"{name}: missing")
         value = record[name]
         try:

@@ -35,14 +35,6 @@ class MlpModel:
     def n_inputs(self) -> int:
         return self.input_to_hidden.shape[0]
 
-    @property
-    def n_hidden(self) -> int:
-        return self.input_to_hidden.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.output_bias.shape[0]
-
 
 @dataclass(frozen=True)
 class TrainTrace:

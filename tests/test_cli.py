@@ -371,6 +371,7 @@ def test_cli_surface_errors_exit_1(tmp_path, capsys):
     lambda record: record["model"].update(k=3.7),
     lambda record: record["model"]["features"][0].__setitem__(0, float("nan")),
     lambda record: record["model"]["labels"].__setitem__(0, 0.5),
+    lambda record: record["model"].update(labels=[7] * len(record["model"]["labels"])),
 ])
 def test_predict_with_malformed_bundle_exits_1_without_traceback(tmp_path, capsys, damage):
     data = _gen(tmp_path)

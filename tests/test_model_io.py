@@ -250,6 +250,10 @@ _NAN, _INF = float("nan"), float("inf")
     ("KNN", _set(("model", "k"), 3.7), "model: k: expected a whole number, got 3.7"),
     ("KNN", _set(("model", "n_classes"), 2.5),
      "model: n_classes: expected a whole number, got 2.5"),
+    ("KNN", lambda record: record["model"].update(labels=[7] * len(record["model"]["labels"])),
+     "model: labels: expected class indices in [0, 3)"),
+    ("SVM", _set(("model", "class_pairs", 0), [0, 9]), "model: class_pairs: expected each pair"),
+    ("SVM", _set(("model", "class_pairs", 2), [0, 1]), "model: class_pairs: expected each pair"),
 ])
 def test_malformed_bundle_is_a_value_error_naming_the_field(tmp_path, name, damage, message):
     ds, scaling, model = _fit_case(name)

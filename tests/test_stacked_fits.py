@@ -125,7 +125,10 @@ def _fit_logistic_2d(ds, learning_rate, max_iter, tolerance):
         prev = loss
         iterations = it + 1
 
-    return LogisticModel(w, iterations, kernel(w)[0], history)
+    loss = kernel(w)[0]
+    if not np.isfinite(loss):
+        raise ValueError(f"training loss became non-finite at iteration {iterations}")
+    return LogisticModel(w, iterations, loss, history)
 
 
 def _fit_mlp_2d(ds, q, epochs, learning_rate, seed, init_scale):
@@ -267,8 +270,13 @@ def _stops(results):
         (2, dict(learning_rate=1.5e308, max_iter=200, tolerance=0.0),
          ["failed at 39", "failed at 73", "failed at 29", 200],
          "training loss became non-finite at iteration 39"),
+        # the capped iteration tests its loss like every earlier one: fold 0
+        # fails at the cap, where folds 1 and 3 stop
+        (2, dict(learning_rate=1.5e308, max_iter=39, tolerance=0.0),
+         ["failed at 39", 39, "failed at 29", 39],
+         "training loss became non-finite at iteration 39"),
     ],
-    ids=["uneven-stops", "later-fold-fails-first"],
+    ids=["uneven-stops", "later-fold-fails-first", "fails-at-the-cap"],
 )
 def test_logistic_folds_leave_the_stack_at_their_own_iteration(seed, params, stops, error):
     ds = _table(seed, 31, 4, 4)
