@@ -168,8 +168,8 @@ class AlgorithmAdapter:
         when the first result is asked for; otherwise each train is fit only
         when its result is asked for, so a caller that scores each fold before
         asking for the next never holds every fold's model (a forest each, for
-        RF) at once."""
-        if self.fit_stacked is None:
+        RF) at once. A lone train is fit with `fit`."""
+        if self.fit_stacked is None or len(trains) == 1:
             for train in trains:
                 try:
                     yield self.fit(train, seed, params)
@@ -296,34 +296,36 @@ class BenchmarkReport:
 
 def _cell_predictions(ds: Dataset, adapter: AlgorithmAdapter, params: dict,
                       kind: ProcessKind, seed: int, split_seed: int):
-    """Actual and predicted labels for one cell, scaling fit on train rows only."""
+    """Actual and predicted labels for one cell, scaling fit on train rows only.
+
+    A process is a list of (train, test) pairs: I tests on its training rows,
+    II on a held-out split, III on each fold. A stacked fit fits every train
+    before any test is scored, but the error raised is the one a pair-by-pair
+    run (standardize, fit, predict) meets first; pairs after one that cannot
+    be standardized are never fit.
+    """
     if kind.name == "I":
-        train, scaling = standardize(ds)
-        model = adapter.fit(train, seed, params)
-        return ds.labels, adapter.predict(model, train.features)
-    if kind.name == "II":
-        train_raw, test_raw = train_test_split(ds, kind.train_fraction, split_seed)
-        train, scaling = standardize(train_raw)
-        model = adapter.fit(train, seed, params)
-        return test_raw.labels, adapter.predict(model, scaling.apply(test_raw.features))
-    # A stacked fit fits its folds before any is scored, but the error raised
-    # is the one a fold-by-fold run (standardize, fit, predict) meets first;
-    # folds after one that cannot be standardized are never fit.
-    plan = k_fold(ds, kind.folds, split_seed)
+        pairs = [(ds, ds)]
+    elif kind.name == "II":
+        pairs = [train_test_split(ds, kind.train_fraction, split_seed)]
+    else:
+        plan = k_fold(ds, kind.folds, split_seed)
+        pairs = [(ds.subset(plan.train_indices(i)), ds.subset(fold))
+                 for i, fold in enumerate(plan.folds)]
     scaled, unscalable = [], None
-    for i in range(plan.k):
+    for train, _ in pairs:
         try:
-            scaled.append(standardize(ds.subset(plan.train_indices(i))))
+            scaled.append(standardize(train))
         except CELL_ERRORS as exc:
             unscalable = exc
             break
     fitted = adapter.fit_folds([train for train, _ in scaled], seed, params)
     actual_parts, predicted_parts = [], []
-    for fold, (_, scaling), model in zip(plan.folds, scaled, fitted):
+    for (_, test), (_, scaling), model in zip(pairs, scaled, fitted):
         if isinstance(model, CELL_ERRORS):
             raise model
-        actual_parts.append(ds.labels[fold])
-        predicted_parts.append(adapter.predict(model, scaling.apply(ds.features[fold])))
+        actual_parts.append(test.labels)
+        predicted_parts.append(adapter.predict(model, scaling.apply(test.features)))
     if unscalable is not None:
         raise unscalable
     return np.concatenate(actual_parts), np.concatenate(predicted_parts)

@@ -250,6 +250,8 @@ def fit_logistic(
     return result
 
 
+# a diverging fit's overflow ends it as the typed non-finite-loss error, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def fit_logistic_stacked(
     datasets,
     learning_rate: float = 0.1,

@@ -238,8 +238,6 @@ def fit_svm_multiclass(
     tol: float = KKT_TOLERANCE,
 ) -> SvmMulticlassModel:
     """Train one machine per class pair on just that pair's rows."""
-    if ds.n_classes < 2:
-        raise ValueError("need at least 2 classes")
     if kernel is None:
         kernel = KernelSpec("rbf", default_gamma(ds.n_features))
     machines = []
@@ -332,6 +330,10 @@ class KnnModel:
             raise ValueError(f"k must be in [1, {n}], got {self.k}")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise ValueError(f"labels: expected class indices in [0, {self.n_classes})")
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[1]
 
 
 def fit_knn(ds: Dataset, k: int = 3) -> KnnModel:

@@ -211,6 +211,16 @@ class ModelBundle:
     scaling: ScalingParams
     model: object  # an instance of the algorithm adapter's model_class
 
+    def __post_init__(self):
+        n_classes, n_features = self.model.n_classes, self.model.n_features
+        if len(self.class_names) != n_classes:
+            raise ValueError(f"class_names: expected one name per model class ({n_classes}), "
+                             f"got {len(self.class_names)}")
+        width = self.scaling.means.shape[0]
+        if not len(self.feature_names) == width == n_features:
+            raise ValueError(f"feature_names: got {len(self.feature_names)} names for "
+                             f"{width} scaling columns and {n_features} model features")
+
     @property
     def n_features(self) -> int:
         return len(self.feature_names)

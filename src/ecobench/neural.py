@@ -32,8 +32,12 @@ class MlpModel:
             raise ValueError("weight shapes are inconsistent")
 
     @property
-    def n_inputs(self) -> int:
+    def n_features(self) -> int:
         return self.input_to_hidden.shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return self.output_bias.shape[0]
 
 
 @dataclass(frozen=True)
@@ -63,37 +67,54 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
+def _layers(x, w1, b1, w2, b2):
+    """(hidden, outputs) of the network on rows `x`: sigmoid hidden units,
+    then their linear read-out. Works alike on (n, p) rows with 2-D weights
+    and on (k, n, p) stacks with (k, ...) weights."""
+    hidden = x @ w1
+    hidden += b1
+    hidden = sigmoid(hidden)
+    outputs = hidden @ w2
+    outputs += b2
+    return hidden, outputs
+
+
+def _backprop(x, hidden, d_out, w2):
+    """Gradients of half the summed squared error in the order (input_to_hidden,
+    hidden_bias, hidden_to_output, output_bias), from the inputs, the hidden
+    units and the output errors `d_out` of a `_layers` pass; biases keep their
+    row axis."""
+    d_hidden = d_out @ w2.swapaxes(-1, -2)
+    d_hidden *= hidden
+    d_hidden *= 1.0 - hidden
+    return (x.swapaxes(-1, -2) @ d_hidden, d_hidden.sum(axis=-2, keepdims=True),
+            hidden.swapaxes(-1, -2) @ d_out, d_out.sum(axis=-2, keepdims=True))
+
+
 def forward(model: MlpModel, x) -> np.ndarray:
     """Network outputs: linear read-out of sigmoid hidden units."""
-    rows, single = as_rows(x, model.n_inputs)
-    hidden = sigmoid(model.hidden_bias + rows @ model.input_to_hidden)
-    outputs = model.output_bias + hidden @ model.hidden_to_output
+    rows, single = as_rows(x, model.n_features)
+    _, outputs = _layers(rows, model.input_to_hidden, model.hidden_bias,
+                         model.hidden_to_output, model.output_bias)
     return outputs[0] if single else outputs
 
 
 def mlp_loss(model: MlpModel, features, targets) -> float:
     """Half the summed squared output error over a batch."""
-    x = np.asarray(features, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    hidden = sigmoid(x @ model.input_to_hidden + model.hidden_bias)
-    outputs = hidden @ model.hidden_to_output + model.output_bias
-    return float(0.5 * ((outputs - t) ** 2).sum())
+    _, outputs = _layers(np.asarray(features, dtype=np.float64), model.input_to_hidden,
+                         model.hidden_bias, model.hidden_to_output, model.output_bias)
+    return float(0.5 * ((outputs - np.asarray(targets, dtype=np.float64)) ** 2).sum())
 
 
 def mlp_gradients(model: MlpModel, features, targets):
     """Backpropagated gradients of `mlp_loss` in the order
     (input_to_hidden, hidden_bias, hidden_to_output, output_bias)."""
     x = np.asarray(features, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    hidden = sigmoid(x @ model.input_to_hidden + model.hidden_bias)
-    outputs = hidden @ model.hidden_to_output + model.output_bias
-    d_out = outputs - t
-    g_out_w = hidden.T @ d_out
-    g_out_b = d_out.sum(axis=0)
-    d_hidden = (d_out @ model.hidden_to_output.T) * hidden * (1.0 - hidden)
-    g_in_w = x.T @ d_hidden
-    g_in_b = d_hidden.sum(axis=0)
-    return g_in_w, g_in_b, g_out_w, g_out_b
+    hidden, outputs = _layers(x, model.input_to_hidden, model.hidden_bias,
+                              model.hidden_to_output, model.output_bias)
+    g_in_w, g_in_b, g_out_w, g_out_b = _backprop(
+        x, hidden, outputs - np.asarray(targets, dtype=np.float64), model.hidden_to_output)
+    return g_in_w, g_in_b[0], g_out_w, g_out_b[0]
 
 
 def fit_mlp(
@@ -113,6 +134,8 @@ def fit_mlp(
     return result
 
 
+# a diverging fit's overflow ends it as the typed non-finite-loss error, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def fit_mlp_stacked(
     datasets,
     q: int = 5,
@@ -130,20 +153,12 @@ def fit_mlp_stacked(
     gives it alone. Returns, per dataset in order, its (model, trace) or the
     ValueError its own fit raises.
     """
-    results = []
-    for ds in datasets:
-        if ds.n_samples < 1:
-            results.append(ValueError("cannot fit on an empty dataset"))
-        elif q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
-            results.append(ValueError(
-                "q must be >= 1; epochs, learning_rate, init_scale nonnegative"))
-        else:
-            results.append(None)
-    live = [j for j, result in enumerate(results) if result is None]
-    if not live:
-        return tuple(results)
-    x, labels = stack_datasets([datasets[j] for j in live])
-    (k, n, p), c = x.shape, datasets[live[0]].n_classes
+    if q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
+        return tuple(ValueError("q must be >= 1; epochs, learning_rate, init_scale nonnegative")
+                     for _ in datasets)
+    x, labels = stack_datasets(datasets)
+    (k, n, p), c = x.shape, datasets[0].n_classes
+    results, live = [None] * k, list(range(k))
     rng = np.random.default_rng(seed)
     start = (
         rng.uniform(-init_scale, init_scale, size=(p, q)),
@@ -157,19 +172,13 @@ def fit_mlp_stacked(
         (w1, b1, w2, b2), x, targets = start, x[0], targets[0]
     else:
         w1, b1, w2, b2 = (np.repeat(arr[None], k, axis=0) for arr in start)
-
-    def sse_of(d_out):
-        return (d_out ** 2).reshape(-1, n * c).sum(axis=1).tolist()
-
-    # the forward pass that scores an epoch's update is the next epoch's forward pass
-    hidden = sigmoid(x @ w1 + b1)
-    d_out = hidden @ w2 + b2 - targets
-    sses = sse_of(d_out)
     prev = [math.inf] * k  # no improvement test before the first update
     traces = [[] for _ in live]
-    # views that follow the in-place weight updates
-    x_t, w2_t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)
     for epoch in range(epochs + 1):
+        # one forward pass scores the last update and feeds the next
+        hidden, d_out = _layers(x, w1, b1, w2, b2)
+        d_out -= targets
+        sses = (d_out ** 2).reshape(-1, n * c).sum(axis=1).tolist()
         # stop tests on Python floats: array-valued tests cost more than the
         # arithmetic at one network and a few dozen rows
         keep = []
@@ -200,22 +209,12 @@ def fit_mlp_stacked(
             sses = [sses[pos] for pos in keep]
             w1, b1, w2, b2, x, targets, hidden, d_out = (
                 arr[keep] for arr in (w1, b1, w2, b2, x, targets, hidden, d_out))
-            x_t, w2_t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)
         prev = sses
-        d_hidden = d_out @ w2_t
-        d_hidden *= hidden
-        d_hidden *= 1.0 - hidden
-        w2 -= learning_rate * (hidden.swapaxes(-1, -2) @ d_out)
-        b2 -= learning_rate * d_out.sum(axis=-2, keepdims=True)
-        w1 -= learning_rate * (x_t @ d_hidden)
-        b1 -= learning_rate * d_hidden.sum(axis=-2, keepdims=True)
-        z = x @ w1
-        z += b1
-        hidden = sigmoid(z)
-        d_out = hidden @ w2
-        d_out += b2
-        d_out -= targets
-        sses = sse_of(d_out)
+        g_in_w, g_in_b, g_out_w, g_out_b = _backprop(x, hidden, d_out, w2)
+        w2 -= learning_rate * g_out_w
+        b2 -= learning_rate * g_out_b
+        w1 -= learning_rate * g_in_w
+        b1 -= learning_rate * g_in_b
     return tuple(results)
 
 

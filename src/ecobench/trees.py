@@ -21,8 +21,8 @@ import numpy as np
 from .dataset import Dataset, as_rows, freeze_arrays, top_class
 
 
-def entropy(class_counts) -> float:
-    """Shannon entropy in bits of a class-count vector; 0*log(0) counts as 0."""
+def _proportions(class_counts) -> np.ndarray:
+    """Class proportions of a nonempty, nonnegative count vector whose total is positive."""
     counts = np.asarray(class_counts, dtype=np.float64)
     if counts.ndim != 1 or counts.size < 1:
         raise ValueError(f"class_counts must be a nonempty vector, got shape {counts.shape}")
@@ -30,23 +30,18 @@ def entropy(class_counts) -> float:
         raise ValueError("class counts must be nonnegative")
     total = counts.sum()
     if total <= 0:
-        raise ValueError("entropy of all-zero counts is undefined")
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+        raise ValueError("impurity of all-zero counts is undefined")
+    return counts / total
+
+
+def entropy(class_counts) -> float:
+    """Shannon entropy in bits of a class-count vector; 0*log(0) counts as 0."""
+    return float(_impurity_of_proportions(_proportions(class_counts), "entropy"))
 
 
 def gini_impurity(class_counts) -> float:
     """Gini impurity 1 - sum(p_i^2) of a class-count vector."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if counts.ndim != 1 or counts.size < 1:
-        raise ValueError(f"class_counts must be a nonempty vector, got shape {counts.shape}")
-    if np.any(counts < 0):
-        raise ValueError("class counts must be nonnegative")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("Gini impurity of all-zero counts is undefined")
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+    return float(_impurity_of_proportions(_proportions(class_counts), "gini"))
 
 
 def conditional_entropy(partition) -> float:
@@ -556,6 +551,14 @@ class _LockstepGrower:
                 yield nodes[first:last], int(widths[last - 1])
 
 
+def _check_leaf_rules(max_depth, min_samples_split) -> None:
+    """Reject a negative depth cap or a split size below 2."""
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+    if min_samples_split < 2:
+        raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
+
+
 def fit_decision_tree(
     ds: Dataset,
     max_depth: int | None = None,
@@ -564,12 +567,7 @@ def fit_decision_tree(
 ) -> DecisionTreeModel:
     """Grow a binary-split tree greedily; impure nodes split until no distinct
     feature values remain, so consistent data is always fit exactly."""
-    if ds.n_samples < 1:
-        raise ValueError("cannot fit a tree on an empty dataset")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    if min_samples_split < 2:
-        raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
+    _check_leaf_rules(max_depth, min_samples_split)
     if criterion not in ("entropy", "gini"):
         raise ValueError(f"criterion must be 'entropy' or 'gini', got {criterion!r}")
     _, feature, threshold, left, value, _ = _LockstepGrower(
@@ -671,8 +669,7 @@ def fit_random_forest(
     so results do not depend on build order. `bootstrap=False` is a test hook
     that trains every tree on the full sample.
     """
-    if ds.n_samples < 1:
-        raise ValueError("cannot fit a forest on an empty dataset")
+    _check_leaf_rules(max_depth, min_samples_split)
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     p = ds.n_features

@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,19 +376,25 @@ def test_cli_surface_errors_exit_1(tmp_path, capsys):
     lambda record: record["model"]["features"][0].__setitem__(0, float("nan")),
     lambda record: record["model"]["labels"].__setitem__(0, 0.5),
     lambda record: record["model"].update(labels=[7] * len(record["model"]["labels"])),
+    lambda record: record["class_names"].pop(),
+    lambda record: record["class_names"].append("extra"),
+    lambda record: record["feature_names"].pop(),
 ])
 def test_predict_with_malformed_bundle_exits_1_without_traceback(tmp_path, capsys, damage):
     data = _gen(tmp_path)
     model_path = tmp_path / "model.json"
     assert entry(["fit", "--data", str(data), "--algorithm", "knn",
                   "--out", str(model_path)]) == 0
+    saved = json.loads(model_path.read_text(encoding="utf-8"))
     record = json.loads(model_path.read_text(encoding="utf-8"))
     damage(record)
     model_path.write_text(json.dumps(record), encoding="utf-8")
     capsys.readouterr()
     assert entry(["predict", "--model", str(model_path), "--data", str(data)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {model_path}: model")
+    # the error names the field the damage changed
+    (field,) = [key for key in saved if record.get(key) != saved[key]]
+    assert err.startswith(f"error: {model_path}: {field}")
     assert "Traceback" not in err
 
 
@@ -451,6 +461,25 @@ def test_fit_with_a_mistyped_param_exits_1_without_traceback(tmp_path, capsys, a
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("algorithm, params, message", [
+    ("lr", "learning_rate=1e308,max_iter=1", "training loss became non-finite at iteration 1"),
+    ("ann", "learning_rate=1e3,epochs=50", "training loss became non-finite at epoch 33"),
+])
+def test_fit_whose_loss_overflows_prints_one_error_line(tmp_path, algorithm, params, message):
+    # a child process, so that a numpy warning would reach stderr as it does for a user
+    data = _gen(tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "ecobench.cli", "fit", "--data", str(data), "--algorithm",
+         algorithm, "--params", params, "--out", str(tmp_path / "m.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
 
 
 def test_csv_with_a_byte_order_mark_reads_like_one_without(tmp_path, capsys):

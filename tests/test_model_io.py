@@ -211,6 +211,22 @@ def _internal_value_nan(record):
     record["model"]["value"][first_split][0] = float("nan")
 
 
+def _drop_class_name(record):
+    del record["class_names"][-1]
+
+
+def _extra_class_name(record):
+    record["class_names"].append("extra")
+
+
+def _drop_feature_name(record):
+    del record["feature_names"][-1]
+
+
+def _drop_scaling_column(record):
+    del record["scaling"]["means"][-1], record["scaling"]["std_devs"][-1]
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -254,6 +270,16 @@ _NAN, _INF = float("nan"), float("inf")
      "model: labels: expected class indices in [0, 3)"),
     ("SVM", _set(("model", "class_pairs", 0), [0, 9]), "model: class_pairs: expected each pair"),
     ("SVM", _set(("model", "class_pairs", 2), [0, 1]), "model: class_pairs: expected each pair"),
+    *((name, _drop_class_name, "class_names: expected one name per model class (3), got 2")
+      for name in sorted(_CASES)),
+    ("RF", _extra_class_name, "class_names: expected one name per model class (3), got 4"),
+    ("NB", _extra_class_name, "class_names: expected one name per model class (3), got 4"),
+    ("ANN", _drop_feature_name,
+     "feature_names: got 7 names for 8 scaling columns and 8 model features"),
+    ("KNN", _drop_feature_name,
+     "feature_names: got 7 names for 8 scaling columns and 8 model features"),
+    ("LR", _drop_scaling_column,
+     "feature_names: got 8 names for 7 scaling columns and 8 model features"),
 ])
 def test_malformed_bundle_is_a_value_error_naming_the_field(tmp_path, name, damage, message):
     ds, scaling, model = _fit_case(name)

@@ -239,6 +239,13 @@ def test_initial_weights_follow_documented_draw_order():
     assert np.array_equal(model.hidden_to_output, rng.uniform(-0.25, 0.25, size=(q, c)))
     assert np.array_equal(model.output_bias, rng.uniform(-0.25, 0.25, size=c))
     assert np.all(np.abs(model.input_to_hidden) <= 0.25)
+    # one epoch is one full-batch step down the backpropagated gradient
+    stepped, _ = fit_mlp(ds, q=q, epochs=1, learning_rate=0.05, seed=123, init_scale=0.25)
+    targets = np.eye(c)[ds.labels]
+    names = ("input_to_hidden", "hidden_bias", "hidden_to_output", "output_bias")
+    for name, grad in zip(names, mlp_gradients(model, ds.features, targets)):
+        expected = getattr(model, name) - 0.05 * grad
+        assert getattr(stepped, name).tobytes() == expected.tobytes(), name
 
 
 def test_fit_raises_on_divergence():

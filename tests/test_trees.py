@@ -26,7 +26,7 @@ from ecobench import (
     predict_tree,
 )
 from ecobench import trees
-from ecobench.trees import DecisionTreeModel, _best_splits
+from ecobench.trees import DecisionTreeModel, _best_splits, _impurity_of_proportions
 
 
 def _names(p):
@@ -63,6 +63,17 @@ def test_gini_known_values():
     assert gini_impurity([1, 1, 1, 1]) == 0.75
     with pytest.raises(ValueError, match="all-zero"):
         gini_impurity([0, 0])
+
+
+def test_entropy_and_gini_are_the_split_pass_impurity_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        counts = rng.integers(0, 50, size=rng.integers(1, 12)).astype(np.float64)
+        counts[rng.integers(counts.size)] += 1.0  # a positive total
+        p = counts / counts.sum()
+        for impurity, criterion in ((entropy, "entropy"), (gini_impurity, "gini")):
+            got, expected = impurity(counts), _impurity_of_proportions(p, criterion)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), counts
 
 
 def test_conditional_entropy_is_weighted_mean():
@@ -789,6 +800,10 @@ def test_forest_validation():
         fit_random_forest(ds, n_trees=2, m_try=0)
     with pytest.raises(ValueError, match="m_try"):
         fit_random_forest(ds, n_trees=2, m_try=ds.n_features + 1)
+    with pytest.raises(ValueError, match="max_depth"):
+        fit_random_forest(ds, n_trees=2, max_depth=-1)
+    with pytest.raises(ValueError, match="min_samples_split"):
+        fit_random_forest(ds, n_trees=2, min_samples_split=1)
 
 
 # Adversarial tables for the oracle suite: per column, normal draws, a few
