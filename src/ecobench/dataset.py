@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,12 +234,19 @@ def parse_feature_rows(rows, header, positions) -> np.ndarray:
     first bad row (and column), scanning rows in order and each row's length
     before its cells."""
     if all(len(row) == len(header) for row in rows):
+        # one flat pass over the cells, row by row; itemgetter of a single
+        # position returns the cell itself, not a tuple
+        if len(positions) == 1:
+            cells = map(operator.itemgetter(positions[0]), rows)
+        else:
+            cells = itertools.chain.from_iterable(map(operator.itemgetter(*positions), rows))
         try:
-            values = np.array([[float(row[i]) for i in positions] for row in rows])
+            values = np.fromiter(map(float, cells), dtype=np.float64,
+                                 count=len(rows) * len(positions))
         except ValueError:
             values = None
         if values is not None and np.isfinite(values).all():
-            return values
+            return values.reshape(len(rows), len(positions))
     # cell by cell, which stops at the first bad row or cell
     out = np.empty((len(rows), len(positions)))
     for r, row in enumerate(rows):

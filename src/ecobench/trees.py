@@ -333,6 +333,123 @@ def _best_splits(columns, labels, totals, criterion):
     return decreases[at, f, i], f, threshold, i + 1, left[at, f, i], order[at, f]
 
 
+# Raw 64-bit outputs each tree's stream buffers past its bootstrap; a tree
+# that has read them all reads as many more from its generator. On 30 rows a
+# default forest's trees rarely need a second block.
+STREAM_BLOCK_RAWS = 32
+_LOW_WORD = 0xFFFFFFFF
+
+
+class _TreeStreams:
+    """The random streams of a forest's trees, drawn for many trees per array pass.
+
+    Tree t's stream is what `np.random.default_rng(children[t])` reads for a
+    bound of at most 2**32: the raw 64-bit outputs of `PCG64(children[t])`,
+    each split into its low 32-bit word, then its high one. numpy draws an
+    integer below such a bound b by Lemire's method: a word u gives
+    (u * b) >> 32, unless (u * b) mod 2**32 < (2**32 - b) mod b, which rejects
+    u and reads the next word; b = 1 reads nothing. `bootstrap` and `subsets`
+    replay `integers(0, n, size=n)` and `choice(p, m, replace=False)` on these
+    rules, and the tests pin both against numpy's own methods.
+    """
+
+    def __init__(self, children):
+        self.generators = [np.random.PCG64(child) for child in children]
+        # word w of a tree's buffer is the low (w even) or high (w odd) half
+        # of its raw w // 2; `word` is each tree's next word, and every buffer
+        # starts read to its end
+        self.raws = np.zeros((len(children), STREAM_BLOCK_RAWS), dtype=np.uint64)
+        self.word = np.full(len(children), 2 * STREAM_BLOCK_RAWS)
+
+    def bootstrap(self, n):
+        """Each tree's `integers(0, n, size=n)` as a (trees, n) array; this
+        must be the first read of every stream. The bound is fixed, so a
+        rejected word only moves its tree's later draws one word on."""
+        used = n if n > 1 else 0  # the words that n draws read unless one is rejected
+        raws = np.array([g.random_raw(used // 2 + STREAM_BLOCK_RAWS) for g in self.generators])
+        self.raws = raws[:, used // 2:].copy()
+        self.word[:] = used & 1
+        head = raws[:, :(used + 1) // 2]
+        scaled = np.stack((head & _LOW_WORD, head >> 32), axis=-1).reshape(raws.shape[0], -1)
+        scaled = scaled[:, :used]
+        scaled *= np.uint64(n)
+        rejected = (scaled & _LOW_WORD) < (2**32 - n) % n
+        scaled >>= 32
+        samples = np.zeros((raws.shape[0], n), dtype=np.int64)
+        samples[:, :used] = scaled
+        for t in np.flatnonzero(rejected.any(axis=1)).tolist():
+            kept = samples[t, :used][~rejected[t]]
+            samples[t] = kept.tolist() + [self._draw(t, n) for _ in range(n - kept.size)]
+        return samples
+
+    def subsets(self, trees, p, m):
+        """The next `np.sort(choice(p, m, replace=False))` of each of `trees`,
+        as a (trees, m) array, for m < p."""
+        if p > 10000 and m > p // 50:
+            # numpy shuffles the tail of range(p): position i, from p - 1
+            # down, swaps with a draw below i + 1; the last m positions are
+            # the subset
+            last = max(p - m, 1)
+            draws = self._draws(trees, np.arange(p, last, -1))
+            chosen = np.empty((trees.size, m), dtype=np.int64)
+            for r, row in enumerate(draws.tolist()):
+                moved = {}
+                for i, j in zip(range(p - 1, last - 1, -1), row):
+                    moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+                chosen[r] = [moved.get(i, i) for i in range(p - m, p)]
+        else:
+            # Floyd's algorithm: for j from p - m up, a draw below j + 1, or j
+            # where that value is already in; then the draws of numpy's
+            # shuffle of the m values, whose order the sort discards
+            draws = self._draws(trees, np.r_[np.arange(p - m + 1, p + 1), np.arange(m, 1, -1)])
+            chosen = draws[:, :m]
+            for k in range(1, m):
+                chosen[(chosen[:, :k] == chosen[:, k:k + 1]).any(axis=1), k] = p - m + k
+        return np.sort(chosen, axis=1)
+
+    def _draws(self, trees, bounds):
+        """A draw below each of `bounds` (all at least 2) in turn from each of
+        `trees`' streams, as a (trees, bounds) array. Every tree reads one
+        word per bound, in blocks that fit a buffer; a tree with a rejected
+        word in a block draws that block again word by word."""
+        out = np.empty((trees.size, bounds.size), dtype=np.int64)
+        step = 2 * STREAM_BLOCK_RAWS - 1  # a buffer holds at least this many unread words
+        for first in range(0, bounds.size, step):
+            columns = slice(first, first + step)
+            bound = bounds[columns].astype(np.uint64)
+            self._reserve(trees, bound.size)
+            at = self.word[trees, None] + np.arange(bound.size)
+            raw = self.raws[trees[:, None], at >> 1]
+            scaled = np.where(at & 1, raw >> 32, raw & _LOW_WORD) * bound
+            out[:, columns] = scaled >> 32
+            rejected = ((scaled & _LOW_WORD) < (2**32 - bound) % bound).any(axis=1)
+            self.word[trees[~rejected]] += bound.size
+            for r in np.flatnonzero(rejected).tolist():
+                out[r, columns] = [self._draw(int(trees[r]), b) for b in bound.tolist()]
+        return out
+
+    def _draw(self, t, bound):
+        """One draw below `bound` (at least 2) from tree t's stream, word by word."""
+        while True:
+            self._reserve(np.array([t]), 1)
+            w = int(self.word[t])
+            raw = int(self.raws[t, w >> 1])
+            scaled = (raw >> 32 if w & 1 else raw & _LOW_WORD) * bound
+            self.word[t] += 1
+            if scaled & _LOW_WORD >= (2**32 - bound) % bound:
+                return scaled >> 32
+
+    def _reserve(self, trees, k):
+        """Move each of `trees` with fewer than k < 2 * STREAM_BLOCK_RAWS
+        unread words to the front of its buffer and fill the rest from its
+        generator."""
+        for t in trees[self.word[trees] > 2 * STREAM_BLOCK_RAWS - k].tolist():
+            read = int(self.word[t]) >> 1
+            self.raws[t, :STREAM_BLOCK_RAWS - read] = self.raws[t, read:]
+            self.raws[t, STREAM_BLOCK_RAWS - read:] = self.generators[t].random_raw(read)
+            self.word[t] &= 1
+
+
 class _LockstepGrower:
     """Grows the trees of a forest (or one tree) together, one split per tree per step.
 
@@ -347,7 +464,7 @@ class _LockstepGrower:
     """
 
     def __init__(self, features, labels, samples, n_classes, criterion, max_depth,
-                 min_samples_split, m_try=None, rngs=None):
+                 min_samples_split, m_try=None, streams=None):
         self.features = features
         self.labels = labels
         n_trees, self.n_total = samples.shape
@@ -357,7 +474,7 @@ class _LockstepGrower:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.m_try = m_try
-        self.rngs = rngs
+        self.streams = streams
         self.importance = np.zeros((n_trees, features.shape[1]))
         # per growth id: (tree, first row in `samples`, row count, depth), the
         # class counts and, once split, the feature, threshold and left child
@@ -378,7 +495,7 @@ class _LockstepGrower:
         value), plus the (trees, features) importance matrix.
 
         A step pops the top node of every unfinished tree's stack, draws each
-        node's candidates from its own tree's rng and scores all of them in
+        node's candidates from its own tree's stream and scores all of them in
         batched split passes. Nodes whose drawn columns are all constant are
         scored again over every feature, so a splittable impure node never
         turns into a leaf.
@@ -423,11 +540,7 @@ class _LockstepGrower:
         ids = self.stack[tree, self.top[tree]]
         node, counts = self.nodes[ids], self.counts[ids]
         if draws:
-            candidates = np.array([
-                self.rngs[t].choice(every.shape[1], self.m_try, replace=False)
-                for t in tree.tolist()
-            ])
-            candidates.sort(axis=1)
+            candidates = self.streams.subsets(tree, every.shape[1], self.m_try)
             best = self._score(node, counts, candidates)
             again = np.nonzero(best[0] == -np.inf)[0]
             if again.size:
@@ -679,14 +792,14 @@ def fit_random_forest(
         raise ValueError(f"m_try must be in [1, {p}], got {m_try}")
 
     n = ds.n_samples
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
+    streams = _TreeStreams(np.random.SeedSequence(seed).spawn(n_trees))
     if bootstrap:
-        samples = np.array([rng.integers(0, n, size=n) for rng in rngs])
+        samples = streams.bootstrap(n)
     else:
         samples = np.tile(np.arange(n), (n_trees, 1))
     roots, feature, threshold, left, value, per_tree = _LockstepGrower(
         ds.features, ds.labels, samples, ds.n_classes, "gini", max_depth, min_samples_split,
-        m_try=m_try, rngs=rngs,
+        m_try=m_try, streams=streams,
     ).grow()
     importance = np.zeros(p)
     for row in per_tree:  # summed in tree order, one tree at a time

@@ -584,6 +584,98 @@ def test_lockstep_forest_in_many_blocks_matches_per_tree_grower(monkeypatch):
             )
 
 
+_SUBSET_SHAPES = [(2, 1), (8, 1), (8, 2), (8, 3), (8, 7), (10001, 200), (10001, 201),
+                  (20000, 401)]
+
+
+@pytest.mark.parametrize("block_raws", [2, trees.STREAM_BLOCK_RAWS])
+@pytest.mark.parametrize("n", [1, 2, 3, 29, 30, 675])
+def test_tree_streams_replay_numpy_integers_and_choice(monkeypatch, block_raws, n):
+    # (10001, 200) is the largest Floyd draw numpy makes, (10001, 201) and
+    # (20000, 401) shuffle the tail of range(p); a 2-raw block is refilled
+    # within almost every draw
+    monkeypatch.setattr(trees, "STREAM_BLOCK_RAWS", block_raws)
+    for seed in (0, 1, 2):
+        children = np.random.SeedSequence(seed).spawn(3)
+        streams = trees._TreeStreams(children)
+        generators = [np.random.default_rng(child) for child in children]
+        samples = streams.bootstrap(n)
+        for t, rng in enumerate(generators):
+            assert np.array_equal(samples[t], rng.integers(0, n, size=n))
+        for p, m in _SUBSET_SHAPES + _SUBSET_SHAPES[:5]:
+            subsets = streams.subsets(np.arange(3), p, m)
+            for t, rng in enumerate(generators):
+                assert np.array_equal(subsets[t], np.sort(rng.choice(p, m, replace=False)))
+
+
+# PCG64's 128-bit state multiplier: a state s steps to s * M + inc, whose
+# output is the new state itself when it is below 2**64
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state_before(target):
+    """A PCG64 state whose next raw output is `target` (< 2**64)."""
+    state = np.random.PCG64(0).state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (target - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    return state
+
+
+def test_tree_streams_redraw_a_rejected_word():
+    # a low half of 0 scales to 0 mod 2**32, under the rejection threshold
+    # (2**32 - b) % b of every bound b below that is not a power of 2
+    state = _pcg64_state_before(0x9E3779B9 << 32)
+    check = np.random.PCG64()
+    check.state = state
+    assert int(check.random_raw()) == 0x9E3779B9 << 32
+
+    def fresh():
+        streams = trees._TreeStreams([np.random.SeedSequence(0)])
+        streams.generators[0].state = state
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
+        return streams, rng
+
+    one = np.arange(1)
+    streams, rng = fresh()
+    assert np.array_equal(streams._draws(one, np.full(4, 7))[0], rng.integers(0, 7, size=4))
+    streams, rng = fresh()
+    assert np.array_equal(streams.subsets(one, 8, 3)[0], np.sort(rng.choice(8, 3, replace=False)))
+    # the bootstrap redraws its row, and the next subset reads on from there
+    streams, rng = fresh()
+    assert np.array_equal(streams.bootstrap(7)[0], rng.integers(0, 7, size=7))
+    assert np.array_equal(streams.subsets(one, 8, 3)[0], np.sort(rng.choice(8, 3, replace=False)))
+
+
+@pytest.mark.parametrize("seed, at", [(3176, 58), (1489, 1980), (2843, 725)])
+def test_forest_bootstrap_skips_a_rejected_word(seed, at):
+    n = 2000
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    raws = np.random.PCG64(child).random_raw(n // 2)
+    scaled = np.stack((raws & 0xFFFFFFFF, raws >> 32), axis=1).ravel() * np.uint64(n)
+    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (2**32 - n) % n)
+    assert rejected.tolist() == [at]
+    expected = np.random.default_rng(child).integers(0, n, size=n)
+    assert not np.array_equal((scaled >> 32).astype(np.int64), expected)
+    assert np.array_equal(trees._TreeStreams([child]).bootstrap(n)[0], expected)
+    ds = _blob_dataset(5, n_per=1000, p=3, c=2, gap=1.0)
+    model = fit_random_forest(ds, n_trees=1, seed=seed, max_depth=2)
+    grown, importance = _per_node_forest(ds, 1, model.m_try, seed, max_depth=2)
+    _assert_same_nodes(model.trees[0], grown[0])
+    assert model.importance.tobytes() == importance.tobytes()
+
+
+def test_forest_fit_makes_no_numpy_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_random_forest made a numpy Generator")
+
+    ds = _blob_dataset(3, n_per=10, p=5, gap=1.0)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    model = fit_random_forest(ds, n_trees=20, seed=9)
+    assert model.n_trees == 20
+
+
 def test_first_trees_of_a_forest_equal_a_smaller_forest():
     ds = _blob_dataset(21, n_per=15, p=5, gap=1.0)
     small = fit_random_forest(ds, n_trees=4, seed=8)
