@@ -126,13 +126,51 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.feature_names, self.class_names)
 
 
-def stack_datasets(datasets) -> tuple[np.ndarray, np.ndarray]:
-    """(k, n, p) features and (k, n) labels of k datasets of one shape, the
-    input of a model's stacked fit."""
-    shape = (datasets[0].features.shape, datasets[0].n_classes)
-    if any((ds.features.shape, ds.n_classes) != shape for ds in datasets):
-        raise ValueError("stacked datasets must share their row, feature and class counts")
-    return np.stack([ds.features for ds in datasets]), np.stack([ds.labels for ds in datasets])
+def stack_datasets(datasets) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(k, n, p) features and (k, n) labels of k datasets of one feature and
+    class count, the input of a model's stacked fit, and each dataset's row
+    count. A dataset shorter than the longest is padded with zero rows of
+    label 0; a stacked fit keeps them out of its sums (`padding`,
+    `own_row_sums`)."""
+    shape = (datasets[0].n_features, datasets[0].n_classes)
+    if any((ds.n_features, ds.n_classes) != shape for ds in datasets):
+        raise ValueError("stacked datasets must share their feature and class counts")
+    counts = [ds.n_samples for ds in datasets]
+    n = max(counts)
+    features = np.zeros((len(datasets), n, shape[0]))
+    labels = np.zeros((len(datasets), n), dtype=np.int64)
+    for i, ds in enumerate(datasets):
+        features[i, : counts[i]] = ds.features
+        labels[i, : counts[i]] = ds.labels
+    return features, labels, counts
+
+
+def padding(counts, n: int):
+    """For stack members of `counts` rows, sorted longest first, in a stack
+    of `n` rows: the (k, n, 1) mask of the padding rows and the (start, stop,
+    rows) run of members of each row count; (None, None) when no member is
+    padded."""
+    if min(counts) == n:
+        return None, None
+    groups = []
+    for start, rows in enumerate(counts):
+        if groups and groups[-1][2] == rows:
+            groups[-1] = (groups[-1][0], start + 1, rows)
+        else:
+            groups.append((start, start + 1, rows))
+    return (np.arange(n) >= np.array(counts)[:, None])[:, :, None], groups
+
+
+def own_row_sums(values: np.ndarray, groups) -> list[float]:
+    """Per stack member, the sum of its own rows of the (k, n, ...) `values`
+    as a float, for the row-count runs `groups` of `padding`: one sum per run
+    over a view of its members' real rows, so each adds its terms in the
+    order a lone member's sum would, and padding rows, which would change
+    numpy's pairwise grouping, stay out. With no padding, one sum."""
+    if groups is None:
+        return values.reshape(len(values), -1).sum(axis=1).tolist()
+    return [s for start, stop, n in groups
+            for s in values[start:stop, :n].reshape(stop - start, -1).sum(axis=1).tolist()]
 
 
 @dataclass(frozen=True)

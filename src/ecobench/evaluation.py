@@ -155,35 +155,30 @@ class AlgorithmAdapter:
     fit: object
     predict_rows: object  # the module's predictor: one row -> int, (m, p) matrix -> (m,) labels
     param_types: dict  # hyperparameter name -> the type its value must have, e.g. int | None
-    # (trains, seed, params) -> per train its model or ValueError, for trains of
-    # one shape fit in one loop; None fits one train at a time with `fit`
+    # (trains, seeds, params) -> per train its model or ValueError, for trains
+    # of one feature and class count fit in one loop; None fits one train at
+    # a time with `fit`
     fit_stacked: object = None
 
     def predict(self, model, features: np.ndarray) -> np.ndarray:
         return self.predict_rows(model, np.atleast_2d(features))
 
-    def fit_folds(self, trains, seed: int, params: dict):
-        """Per training set, in order, the model `fit` gives it or the error it
-        raises. A stacked fit takes all trains of one row count in one call
-        when the first result is asked for; otherwise each train is fit only
-        when its result is asked for, so a caller that scores each fold before
-        asking for the next never holds every fold's model (a forest each, for
-        RF) at once. A lone train is fit with `fit`."""
+    def fit_folds(self, trains, seeds, params: dict):
+        """Per training set, in order, the model `fit` gives it with its seed
+        from `seeds` or the error it raises. A stacked fit takes every train,
+        of any row count, in one call when the first result is asked for;
+        otherwise each train is fit only when its result is asked for, so a
+        caller that scores each train's model before asking for the next never
+        holds every model (a forest each, for RF) at once. A lone train is fit
+        with `fit`."""
         if self.fit_stacked is None or len(trains) == 1:
-            for train in trains:
+            for train, seed in zip(trains, seeds):
                 try:
                     yield self.fit(train, seed, params)
                 except CELL_ERRORS as exc:
                     yield exc
             return
-        results = [None] * len(trains)
-        sizes = [train.n_samples for train in trains]
-        for size in dict.fromkeys(sizes):
-            group = [i for i, n in enumerate(sizes) if n == size]
-            fitted = self.fit_stacked(tuple(trains[i] for i in group), seed, params)
-            for i, result in zip(group, fitted):
-                results[i] = result
-        yield from results
+        yield from self.fit_stacked(tuple(trains), tuple(seeds), params)
 
 
 _REGISTRY = {
@@ -207,9 +202,9 @@ _REGISTRY = {
         lambda train, seed, p: fit_mlp(train, seed=seed, **p)[0],
         predict_mlp,
         {"q": int, "epochs": int, "learning_rate": float, "init_scale": float},
-        lambda trains, seed, p: [
+        lambda trains, seeds, p: [
             r if isinstance(r, ValueError) else r[0]
-            for r in fit_mlp_stacked(trains, seed=seed, **p)
+            for r in fit_mlp_stacked(trains, seeds, **p)
         ],
     ),
     "SVM": AlgorithmAdapter(
@@ -239,7 +234,7 @@ _REGISTRY = {
         lambda train, seed, p: fit_logistic(train, **p),
         predict_logistic,
         {"learning_rate": float, "max_iter": int, "tolerance": float},
-        lambda trains, seed, p: fit_logistic_stacked(trains, **p),
+        lambda trains, seeds, p: fit_logistic_stacked(trains, **p),
     ),
     "NB": AlgorithmAdapter(
         "NB",
@@ -294,41 +289,92 @@ class BenchmarkReport:
         raise KeyError(f"no row for ({algorithm}, {process})")
 
 
-def _cell_predictions(ds: Dataset, adapter: AlgorithmAdapter, params: dict,
-                      kind: ProcessKind, seed: int, split_seed: int):
-    """Actual and predicted labels for one cell, scaling fit on train rows only.
-
-    A process is a list of (train, test) pairs: I tests on its training rows,
-    II on a held-out split, III on each fold. A stacked fit fits every train
-    before any test is scored, but the error raised is the one a pair-by-pair
-    run (standardize, fit, predict) meets first; pairs after one that cannot
-    be standardized are never fit.
-    """
-    if kind.name == "I":
-        pairs = [(ds, ds)]
-    elif kind.name == "II":
-        pairs = [train_test_split(ds, kind.train_fraction, split_seed)]
-    else:
-        plan = k_fold(ds, kind.folds, split_seed)
-        pairs = [(ds.subset(plan.train_indices(i)), ds.subset(fold))
-                 for i, fold in enumerate(plan.folds)]
-    scaled, unscalable = [], None
-    for train, _ in pairs:
+def _process_pairs(ds: Dataset, kind: ProcessKind, split_seed: int):
+    """One process's (train, test) pairs, each train as its `standardize`
+    result, up to the first train that cannot be standardized, and the error
+    that stops the process there (None if every pair is ready). I tests on its
+    training rows, II on a held-out split, III on each fold; scaling is fit
+    on train rows only."""
+    try:
+        if kind.name == "I":
+            pairs = [(ds, ds)]
+        elif kind.name == "II":
+            pairs = [train_test_split(ds, kind.train_fraction, split_seed)]
+        else:
+            plan = k_fold(ds, kind.folds, split_seed)
+            pairs = [(ds.subset(plan.train_indices(i)), ds.subset(fold))
+                     for i, fold in enumerate(plan.folds)]
+    except CELL_ERRORS as exc:
+        return [], exc
+    ready = []
+    for train, test in pairs:
         try:
-            scaled.append(standardize(train))
+            ready.append((standardize(train), test))
         except CELL_ERRORS as exc:
-            unscalable = exc
-            break
-    fitted = adapter.fit_folds([train for train, _ in scaled], seed, params)
-    actual_parts, predicted_parts = [], []
-    for (_, test), (_, scaling), model in zip(pairs, scaled, fitted):
-        if isinstance(model, CELL_ERRORS):
-            raise model
-        actual_parts.append(test.labels)
-        predicted_parts.append(adapter.predict(model, scaling.apply(test.features)))
-    if unscalable is not None:
-        raise unscalable
-    return np.concatenate(actual_parts), np.concatenate(predicted_parts)
+            return ready, exc
+    return ready, None
+
+
+def _run_cells(ds: Dataset, algorithm: AlgorithmSpec, cells) -> list[ReportRow]:
+    """One algorithm's rows for `cells`, a list of (kind, seed, `_process_pairs`
+    result). The trains of every cell go through one `fit_folds` call, each
+    with its cell's seed, and each pair is scored as its model arrives. A
+    cell's error is the one a pair-by-pair run (standardize, fit, predict)
+    meets first; pairs after one that cannot be standardized are never fit,
+    and those after a failed pair are fit but not scored. Failures come back
+    as error rows, so a sweep can continue.
+
+    A cell's `wall_ms` is the time of its own pairs and score; the time of a
+    stacked fit, which fits every cell's trains at once, is shared among the
+    cells by their number of trains.
+    """
+    adapter = algorithm_adapter(algorithm.name)
+    trains = [train for _, _, (ready, _) in cells for (train, _), _ in ready]
+    seeds = [seed for _, seed, (ready, _) in cells for _ in ready]
+    fitted = adapter.fit_folds(trains, seeds, algorithm.param_dict())
+    outcomes, stacked_s = [], 0.0
+    for kind, seed, (ready, stop) in cells:
+        start, fit_s = time.perf_counter(), 0.0
+        error, actual, predicted = None, [], []
+        for (_, scaling), test in ready:
+            model = None  # let go of the last model (a forest, for RF) before the next fit
+            tick = time.perf_counter()
+            model = next(fitted)
+            fit_s += time.perf_counter() - tick
+            if error is not None:
+                continue
+            if isinstance(model, CELL_ERRORS):
+                error = model
+                continue
+            try:
+                predicted.append(adapter.predict(model, scaling.apply(test.features)))
+            except CELL_ERRORS as exc:
+                error = exc
+                continue
+            actual.append(test.labels)
+        result, error = None, error or stop
+        if error is None:
+            try:
+                agg = macro_aggregate(confusion_matrix(
+                    np.concatenate(actual), np.concatenate(predicted), ds.n_classes))
+                result = agg, measures(agg)
+            except CELL_ERRORS as exc:
+                error = exc
+        own_s = time.perf_counter() - start
+        if adapter.fit_stacked is not None:
+            own_s -= fit_s
+            stacked_s += fit_s
+        outcomes.append((kind, seed, result, error, own_s, len(ready)))
+    per_train_s = stacked_s / max(len(trains), 1)
+    rows = []
+    for kind, seed, result, error, own_s, n_trains in outcomes:
+        wall_ms = (own_s + per_train_s * n_trains) * 1000.0
+        if result is None:
+            rows.append(ReportRow(algorithm.name, kind.name, None, None, wall_ms, seed,
+                                  error=str(error)))
+        else:
+            rows.append(ReportRow(algorithm.name, kind.name, *result, wall_ms, seed))
+    return rows
 
 
 def run_process(
@@ -340,21 +386,9 @@ def run_process(
 ) -> ReportRow:
     """Evaluate one algorithm under one process; failures come back as an
     error row rather than an exception so a sweep can continue."""
-    adapter = algorithm_adapter(algorithm.name)
     split_seed = seed if split_seed is None else split_seed
-    start = time.perf_counter()
-    try:
-        actual, predicted = _cell_predictions(
-            ds, adapter, algorithm.param_dict(), kind, seed, split_seed
-        )
-        cm = confusion_matrix(actual, predicted, ds.n_classes)
-        agg = macro_aggregate(cm)
-        found = measures(agg)
-    except CELL_ERRORS as exc:
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return ReportRow(algorithm.name, kind.name, None, None, wall_ms, seed, error=str(exc))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return ReportRow(algorithm.name, kind.name, agg, found, wall_ms, seed)
+    (row,) = _run_cells(ds, algorithm, [(kind, seed, _process_pairs(ds, kind, split_seed))])
+    return row
 
 
 def run_benchmark(
@@ -364,7 +398,12 @@ def run_benchmark(
     master_seed: int = 42,
     source: str = "memory",
 ) -> BenchmarkReport:
-    """All (algorithm, process) cells, process-major, independently seeded."""
+    """All (algorithm, process) cells, process-major, independently seeded.
+
+    Each process's pairs are split and standardized once for all algorithms,
+    and each algorithm fits the trains of every process in one `fit_folds`
+    call, so LR and ANN run one gradient loop per grid.
+    """
     if algorithms is None:
         algorithms = tuple(AlgorithmSpec(name) for name in ALGORITHM_ORDER)
     if processes is None:
@@ -373,19 +412,14 @@ def run_benchmark(
     processes = tuple(processes)
     if not algorithms or not processes:
         raise ValueError("need at least one algorithm and one process")
-    rows = []
-    for kind in processes:
-        split_seed = derive_seed(master_seed, "split", kind.name)
-        for algorithm in algorithms:
-            rows.append(
-                run_process(
-                    ds,
-                    algorithm,
-                    kind,
-                    seed=derive_seed(master_seed, algorithm.name, kind.name),
-                    split_seed=split_seed,
-                )
-            )
+    prepared = [(kind, _process_pairs(ds, kind, derive_seed(master_seed, "split", kind.name)))
+                for kind in processes]
+    by_algorithm = [
+        _run_cells(ds, algorithm, [(kind, derive_seed(master_seed, algorithm.name, kind.name),
+                                    pairs) for kind, pairs in prepared])
+        for algorithm in algorithms
+    ]
+    rows = [row for process_rows in zip(*by_algorithm) for row in process_rows]
     counts = ds.class_counts()
     summary = {
         "source": source,

@@ -10,9 +10,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, as_rows, freeze_arrays, stack_datasets, top_class
+from .dataset import (
+    Dataset,
+    as_rows,
+    freeze_arrays,
+    own_row_sums,
+    padding,
+    stack_datasets,
+    top_class,
+)
 
 LDA_REGULARIZATION_EPSILON = 1e-8
+
+
+def _class_feature_shape(means: np.ndarray, name: str) -> tuple[int, int]:
+    """(classes, features) of a model's class-by-feature matrix `means`."""
+    if means.ndim != 2:
+        raise ValueError(f"{name}: expected a (classes, features) matrix, got shape "
+                         f"{means.shape}")
+    return means.shape
+
+
+def _check_shapes(record, **shapes) -> None:
+    """A ValueError naming the first array field of `record` whose shape is
+    not the one given for it."""
+    for name, shape in shapes.items():
+        got = getattr(record, name).shape
+        if got != shape:
+            raise ValueError(f"{name}: expected shape {shape}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +58,12 @@ class LdaModel:
     def __post_init__(self):
         freeze_arrays(self, np.float64, "class_means", "pooled_covariance", "priors",
                       "discriminant_axes")
+        c, p = _class_feature_shape(self.class_means, "class_means")
+        _check_shapes(self, pooled_covariance=(p, p), priors=(c,))
+        axes = self.discriminant_axes.shape
+        if len(axes) != 2 or axes[1] != p or axes[0] > min(c - 1, p):
+            raise ValueError(f"discriminant_axes: expected at most {min(c - 1, p)} axes of "
+                             f"{p} coefficients, got shape {axes}")
         if abs(self.priors.sum() - 1.0) > 1e-12:
             raise ValueError("priors must sum to 1")
         if not np.allclose(self.pooled_covariance, self.pooled_covariance.T):
@@ -199,29 +230,46 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _logistic_kernel(w, design, onehot, picked):
-    """Mean cross-entropy of each stacked fold (a list of floats) and the
-    stacked gradient, from the (k, n, p+1) `[1 | X]` designs, the one-hot
-    labels and the flat index of each row's true-class probability; the pinned
-    last rows' gradient is 0."""
-    n = design.shape[1]
+def _logistic_kernel(w, design, onehot, picked, counts, divisor, pad, groups):
+    """Mean cross-entropy of each stacked train (a list of floats) and the
+    stacked gradient, from the inputs `_logistic_inputs` builds; the pinned
+    last rows' gradient is 0. A padding row adds exact zeros to the gradient
+    and nothing to the loss."""
     probs = _softmax_rows(design @ w.transpose(0, 2, 1))
     # a row sum over n then one division is bit for bit `np.mean` of that row
-    losses = [-(s / n) for s in np.log(probs.take(picked) + 1e-300).sum(axis=1).tolist()]
-    grad = (probs - onehot).transpose(0, 2, 1) @ design / n
+    sums = own_row_sums(np.log(probs.take(picked) + 1e-300), groups)
+    losses = [-(s / n) for s, n in zip(sums, counts)]
+    delta = probs - onehot
+    if pad is not None:
+        # copyto, not a 0/1 product: a padding row's scores are NaN where a
+        # weight is infinite, and NaN * 0 is NaN
+        np.copyto(delta, 0.0, where=pad)
+    # both sides are at least two wide (c >= 2 classes, p + 1 >= 2 columns),
+    # so numpy runs this as a BLAS matrix product, which adds each entry's
+    # terms in row order: trailing zero rows change no bit (fit_mlp_stacked
+    # has the one-wide case)
+    grad = delta.transpose(0, 2, 1) @ design / divisor
     grad[:, -1] = 0.0
     return losses, grad
 
 
-def _logistic_inputs(features, labels, n_classes):
-    """The weight-independent inputs of `_logistic_kernel` for stacked
-    (k, n, p) features and (k, n) labels, built once per stack."""
+def _logistic_inputs(features, labels, counts, n_classes):
+    """The weight-independent inputs of `_logistic_kernel` for a stack of
+    (k, n, p) features and (k, n) labels whose members have `counts` rows,
+    sorted longest first: the `[1 | X]` designs (padding rows all zero), the
+    one-hot labels, the flat index of each row's true-class probability, the
+    row counts as a list and as a (k, 1, 1) divisor, and the padding rows'
+    mask and row-count runs of `dataset.padding`. Built once per stack."""
     k, n = labels.shape
+    pad, groups = padding(counts, n)
     design = np.concatenate([np.ones((k, n, 1)), features], axis=2)
+    if pad is not None:
+        np.copyto(design, 0.0, where=pad)
     picked = (np.arange(k)[:, None] * n + np.arange(n)) * n_classes + labels
     onehot = np.zeros((k, n, n_classes))
     np.put(onehot, picked, 1.0)
-    return design, onehot, picked
+    divisor = np.array(counts, dtype=np.float64)[:, None, None]
+    return design, onehot, picked, counts, divisor, pad, groups
 
 
 def logistic_loss_and_gradient(weights, features, labels):
@@ -229,7 +277,8 @@ def logistic_loss_and_gradient(weights, features, labels):
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    (loss,), grad = _logistic_kernel(w[None], *_logistic_inputs(x[None], y[None], w.shape[0]))
+    inputs = _logistic_inputs(x[None], y[None], [y.size], w.shape[0])
+    (loss,), grad = _logistic_kernel(w[None], *inputs)
     return loss, grad[0]
 
 
@@ -258,13 +307,15 @@ def fit_logistic_stacked(
     max_iter: int = 5000,
     tolerance: float = 1e-8,
 ) -> tuple[LogisticModel | ValueError, ...]:
-    """`fit_logistic` on each of several datasets of one shape, in one loop.
+    """`fit_logistic` on each of several datasets of one feature and class
+    count, of any row counts, in one loop.
 
-    The designs are stacked as one (k, n, p+1) array, so each iteration is a
-    few batched products for all of them. A dataset leaves the stack when its
-    own loss settles or turns non-finite, and its model is bit for bit the one
-    `fit_logistic` gives it alone. Returns, per dataset in order, its model or
-    the ValueError its own fit raises.
+    The designs are stacked as one (k, n, p+1) array, the shorter ones padded
+    with zero rows, so each iteration is a few batched products for all of
+    them. A dataset leaves the stack when its own loss settles or turns
+    non-finite, and its model is bit for bit the one `fit_logistic` gives it
+    alone. Returns, per dataset in order, its model or the ValueError its own
+    fit raises.
     """
     results = []
     for ds in datasets:
@@ -279,9 +330,11 @@ def fit_logistic_stacked(
     live = [j for j, result in enumerate(results) if result is None]
     if not live:
         return tuple(results)
-    features, labels = stack_datasets([datasets[j] for j in live])
+    # longest first, so that the members of one row count are one slice of the stack
+    live.sort(key=lambda j: -datasets[j].n_samples)
+    features, labels, counts = stack_datasets([datasets[j] for j in live])
     c, p = datasets[live[0]].n_classes, features.shape[2]
-    inputs = _logistic_inputs(features, labels, c)
+    inputs = _logistic_inputs(features, labels, counts, c)
     w = np.zeros((len(live), c, p + 1))
     histories = [[] for _ in live]
     prev = [math.inf] * len(live)  # no settling test before the first step
@@ -307,8 +360,9 @@ def fit_logistic_stacked(
             live = [live[pos] for pos in keep]
             histories = [histories[pos] for pos in keep]
             losses = [losses[pos] for pos in keep]
+            counts = [counts[pos] for pos in keep]
             w, grad, features, labels = w[keep], grad[keep], features[keep], labels[keep]
-            inputs = _logistic_inputs(features, labels, c)
+            inputs = _logistic_inputs(features, labels, counts, c)
         w = w - learning_rate * grad
         prev = losses
     return tuple(results)
@@ -337,6 +391,8 @@ class NaiveBayesModel:
 
     def __post_init__(self):
         freeze_arrays(self, np.float64, "priors", "means", "variances", "variance_floor")
+        c, p = _class_feature_shape(self.means, "means")
+        _check_shapes(self, priors=(c,), variances=(c, p), variance_floor=(p,))
         if abs(self.priors.sum() - 1.0) > 1e-12:
             raise ValueError("priors must sum to 1")
         if np.any(self.variances <= 0):

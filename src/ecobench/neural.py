@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, as_rows, freeze_arrays, stack_datasets, top_class
+from .dataset import (
+    Dataset,
+    as_rows,
+    freeze_arrays,
+    own_row_sums,
+    padding,
+    stack_datasets,
+    top_class,
+)
 
 
 @dataclass(frozen=True)
@@ -67,27 +75,33 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def _layers(x, w1, b1, w2, b2):
+def _layers(x, w1, b1, w2, b2, pad=None):
     """(hidden, outputs) of the network on rows `x`: sigmoid hidden units,
     then their linear read-out. Works alike on (n, p) rows with 2-D weights
-    and on (k, n, p) stacks with (k, ...) weights."""
+    and on (k, n, p) stacks with (k, ...) weights; the hidden units of the
+    stack's padding rows `pad` (a `dataset.padding` mask) are zeros."""
     hidden = x @ w1
     hidden += b1
     hidden = sigmoid(hidden)
+    if pad is not None:
+        # copyto, not a 0/1 product: with an infinite input weight a padding
+        # row's hidden unit is NaN (0 * inf), and NaN * 0 is NaN
+        np.copyto(hidden, 0.0, where=pad)
     outputs = hidden @ w2
     outputs += b2
     return hidden, outputs
 
 
-def _backprop(x, hidden, d_out, w2):
+def _backprop(xt, hidden, d_out, w2t):
     """Gradients of half the summed squared error in the order (input_to_hidden,
-    hidden_bias, hidden_to_output, output_bias), from the inputs, the hidden
-    units and the output errors `d_out` of a `_layers` pass; biases keep their
-    row axis."""
-    d_hidden = d_out @ w2.swapaxes(-1, -2)
+    hidden_bias, hidden_to_output, output_bias), from the transposed inputs
+    `xt`, the hidden units and the output errors `d_out` of a `_layers` pass
+    and the transposed read-out weights `w2t`; biases keep their row axis.
+    Zero padding rows of `hidden` and `d_out` add exact zeros."""
+    d_hidden = d_out @ w2t
     d_hidden *= hidden
     d_hidden *= 1.0 - hidden
-    return (x.swapaxes(-1, -2) @ d_hidden, d_hidden.sum(axis=-2, keepdims=True),
+    return (xt @ d_hidden, d_hidden.sum(axis=-2, keepdims=True),
             hidden.swapaxes(-1, -2) @ d_out, d_out.sum(axis=-2, keepdims=True))
 
 
@@ -113,7 +127,7 @@ def mlp_gradients(model: MlpModel, features, targets):
     hidden, outputs = _layers(x, model.input_to_hidden, model.hidden_bias,
                               model.hidden_to_output, model.output_bias)
     g_in_w, g_in_b, g_out_w, g_out_b = _backprop(
-        x, hidden, outputs - np.asarray(targets, dtype=np.float64), model.hidden_to_output)
+        x.T, hidden, outputs - np.asarray(targets, dtype=np.float64), model.hidden_to_output.T)
     return g_in_w, g_in_b[0], g_out_w, g_out_b[0]
 
 
@@ -128,7 +142,7 @@ def fit_mlp(
     """Train on one-hot targets; weights start uniform in [-init_scale,
     +init_scale]. Stops at the epoch cap or once an epoch's nonnegative SSE
     improvement falls below 1e-10; worsening epochs keep training."""
-    (result,) = fit_mlp_stacked((ds,), q, epochs, learning_rate, seed, init_scale)
+    (result,) = fit_mlp_stacked((ds,), (seed,), q, epochs, learning_rate, init_scale)
     if isinstance(result, ValueError):
         raise result
     return result
@@ -138,47 +152,69 @@ def fit_mlp(
 @np.errstate(over="ignore", invalid="ignore")
 def fit_mlp_stacked(
     datasets,
+    seeds,
     q: int = 5,
     epochs: int = 2000,
     learning_rate: float = 0.01,
-    seed: int = 0,
     init_scale: float = 0.5,
 ) -> tuple[tuple[MlpModel, TrainTrace] | ValueError, ...]:
-    """`fit_mlp` on each of several datasets of one shape, in one loop.
+    """`fit_mlp` on each of several datasets of one feature and class count,
+    of any row counts, in one loop; `seeds` holds each one's seed.
 
-    Every network starts from the same seeded weights. The datasets are
-    stacked as (k, n, p) arrays, so each epoch is a few batched products for
-    all of them. A network leaves the stack when its own SSE settles or turns
-    non-finite, and its weights and trace are bit for bit the ones `fit_mlp`
-    gives it alone. Returns, per dataset in order, its (model, trace) or the
-    ValueError its own fit raises.
+    Every network starts from the weights its own seed draws. The datasets
+    are stacked as (k, n, p) arrays, the shorter ones padded with zero rows,
+    so each epoch is a few batched products for all of them. A network leaves
+    the stack when its own SSE settles or turns non-finite, and its weights
+    and trace are bit for bit the ones `fit_mlp` gives it alone. Returns, per
+    dataset in order, its (model, trace) or the ValueError its own fit raises.
     """
     if q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
         return tuple(ValueError("q must be >= 1; epochs, learning_rate, init_scale nonnegative")
                      for _ in datasets)
-    x, labels = stack_datasets(datasets)
+    # longest first, so that the members of one row count are one slice of the stack
+    live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
+    x, labels, counts = stack_datasets([datasets[j] for j in live])
     (k, n, p), c = x.shape, datasets[0].n_classes
-    results, live = [None] * k, list(range(k))
-    rng = np.random.default_rng(seed)
-    start = (
-        rng.uniform(-init_scale, init_scale, size=(p, q)),
-        rng.uniform(-init_scale, init_scale, size=(1, q)),
-        rng.uniform(-init_scale, init_scale, size=(q, c)),
-        rng.uniform(-init_scale, init_scale, size=(1, c)),
-    )
+    if min(p, q) == 1 and counts[-1] < n:
+        # with one input or one hidden unit a gradient product has a side one
+        # wide, which numpy hands to BLAS gemv, and a bias sum is over a single
+        # column, which numpy adds pairwise: neither adds padding zeros
+        # exactly, so such stacks hold one row count each
+        results = [None] * k
+        for size in dict.fromkeys(counts):
+            group = [j for j in live if datasets[j].n_samples == size]
+            fitted = fit_mlp_stacked([datasets[j] for j in group], [seeds[j] for j in group],
+                                     q, epochs, learning_rate, init_scale)
+            for j, result in zip(group, fitted):
+                results[j] = result
+        return tuple(results)
+    results = [None] * k
+    starts = {}
+    for seed in dict.fromkeys(seeds[j] for j in live):
+        rng = np.random.default_rng(seed)
+        starts[seed] = (
+            rng.uniform(-init_scale, init_scale, size=(p, q)),
+            rng.uniform(-init_scale, init_scale, size=(1, q)),
+            rng.uniform(-init_scale, init_scale, size=(q, c)),
+            rng.uniform(-init_scale, init_scale, size=(1, c)),
+        )
     targets = np.zeros((k, n, c))
     np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
     if k == 1:  # one network trains on 2-D arrays, whose products cost less per call
-        (w1, b1, w2, b2), x, targets = start, x[0], targets[0]
+        (w1, b1, w2, b2), x, targets = starts[seeds[0]], x[0], targets[0]
     else:
-        w1, b1, w2, b2 = (np.repeat(arr[None], k, axis=0) for arr in start)
+        w1, b1, w2, b2 = (np.stack(arrs) for arrs in zip(*(starts[seeds[j]] for j in live)))
+    xt, w2t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)  # views; w2 is updated in place
+    pad, groups = padding(counts, n)
     prev = [math.inf] * k  # no improvement test before the first update
     traces = [[] for _ in live]
     for epoch in range(epochs + 1):
         # one forward pass scores the last update and feeds the next
-        hidden, d_out = _layers(x, w1, b1, w2, b2)
+        hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
         d_out -= targets
-        sses = (d_out ** 2).reshape(-1, n * c).sum(axis=1).tolist()
+        if pad is not None:
+            np.copyto(d_out, 0.0, where=pad)
+        sses = own_row_sums((d_out ** 2).reshape(-1, n, c), groups)
         # stop tests on Python floats: array-valued tests cost more than the
         # arithmetic at one network and a few dozen rows
         keep = []
@@ -207,10 +243,13 @@ def fit_mlp_stacked(
             live = [live[pos] for pos in keep]
             traces = [traces[pos] for pos in keep]
             sses = [sses[pos] for pos in keep]
+            counts = [counts[pos] for pos in keep]
             w1, b1, w2, b2, x, targets, hidden, d_out = (
                 arr[keep] for arr in (w1, b1, w2, b2, x, targets, hidden, d_out))
+            xt, w2t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)
+            pad, groups = padding(counts, n)
         prev = sses
-        g_in_w, g_in_b, g_out_w, g_out_b = _backprop(x, hidden, d_out, w2)
+        g_in_w, g_in_b, g_out_w, g_out_b = _backprop(xt, hidden, d_out, w2t)
         w2 -= learning_rate * g_out_w
         b2 -= learning_rate * g_out_b
         w1 -= learning_rate * g_in_w

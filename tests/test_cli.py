@@ -123,6 +123,17 @@ def test_bench_timings_flag_records_wall_times(tmp_path):
     assert payload["rows"][0]["wall_ms"] > 0.0
 
 
+def test_bench_timings_give_every_ok_row_its_share_of_a_stacked_fit(tmp_path):
+    # LR and ANN fit the trains of all three processes in one loop, whose time
+    # is shared among their cells by number of trains
+    report_path = tmp_path / "timed.json"
+    assert entry(["bench", "--synthetic", "--algorithms", "ANN,LR,NB", "--timings",
+                  "--out", str(report_path)]) == 0
+    rows = json.loads(report_path.read_text(encoding="utf-8"))["rows"]
+    assert len(rows) == 9 and all("error" not in row for row in rows)
+    assert all(row["wall_ms"] > 0.0 for row in rows)
+
+
 def test_bench_csv_and_markdown_formats(tmp_path, capsys):
     common = ["bench", "--synthetic", "--algorithms", "NB,LDA", "--processes", "I"]
     assert entry(common + ["--format", "csv"]) == 0
@@ -395,6 +406,32 @@ def test_predict_with_malformed_bundle_exits_1_without_traceback(tmp_path, capsy
     # the error names the field the damage changed
     (field,) = [key for key in saved if record.get(key) != saved[key]]
     assert err.startswith(f"error: {model_path}: {field}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("algorithm, field, damage", [
+    ("nb", "variances", lambda model: model.update(variances=model["variances"][:2])),
+    ("nb", "variance_floor", lambda model: model.update(
+        variance_floor=model["variance_floor"][:3])),
+    ("lda", "discriminant_axes", lambda model: model.update(
+        discriminant_axes=[axis[:3] for axis in model["discriminant_axes"]])),
+])
+def test_predict_with_misshapen_model_array_names_the_field(tmp_path, capsys, algorithm,
+                                                            field, damage):
+    # a cut array once broadcast into a numpy error naming no field (NB
+    # variances) or predicted with exit 0 (the other two)
+    data = _gen(tmp_path)
+    rows = _gen(tmp_path, "rows.csv", seed=43, extra=["--n-per-class", "1000"])
+    model_path = tmp_path / "model.json"
+    assert entry(["fit", "--data", str(data), "--algorithm", algorithm,
+                  "--out", str(model_path)]) == 0
+    record = json.loads(model_path.read_text(encoding="utf-8"))
+    damage(record["model"])
+    model_path.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+    assert entry(["predict", "--model", str(model_path), "--data", str(rows)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_path}: model: {field}: expected ")
     assert "Traceback" not in err
 
 

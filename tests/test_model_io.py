@@ -269,6 +269,27 @@ _NAN, _INF = float("nan"), float("inf")
     ("KNN", lambda record: record["model"].update(labels=[7] * len(record["model"]["labels"])),
      "model: labels: expected class indices in [0, 3)"),
     ("SVM", _set(("model", "class_pairs", 0), [0, 9]), "model: class_pairs: expected each pair"),
+    # the class and feature axes of LDA and NB records must agree with each other
+    ("NB", lambda record: record["model"].update(variances=record["model"]["variances"][:2]),
+     "model: variances: expected shape (3, 8), got (2, 8)"),
+    ("NB", lambda record: record["model"].update(
+        variance_floor=record["model"]["variance_floor"][:3]),
+     "model: variance_floor: expected shape (8,), got (3,)"),
+    ("NB", lambda record: record["model"].update(priors=[0.5, 0.5]),
+     "model: priors: expected shape (3,), got (2,)"),
+    ("NB", lambda record: record["model"].update(means=record["model"]["means"][0]),
+     "model: means: expected a (classes, features) matrix, got shape (8,)"),
+    ("LDA", lambda record: record["model"].update(
+        discriminant_axes=[axis[:3] for axis in record["model"]["discriminant_axes"]]),
+     "model: discriminant_axes: expected at most 2 axes of 8 coefficients, got shape (2, 3)"),
+    ("LDA", lambda record: record["model"]["discriminant_axes"].append(
+        record["model"]["discriminant_axes"][0]),
+     "model: discriminant_axes: expected at most 2 axes of 8 coefficients, got shape (3, 8)"),
+    ("LDA", lambda record: record["model"].update(
+        pooled_covariance=[row[:7] for row in record["model"]["pooled_covariance"][:7]]),
+     "model: pooled_covariance: expected shape (8, 8), got (7, 7)"),
+    ("LDA", lambda record: record["model"].update(priors=[0.25] * 4),
+     "model: priors: expected shape (3,), got (4,)"),
     ("SVM", _set(("model", "class_pairs", 2), [0, 1]), "model: class_pairs: expected each pair"),
     *((name, _drop_class_name, "class_names: expected one name per model class (3), got 2")
       for name in sorted(_CASES)),

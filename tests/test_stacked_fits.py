@@ -1,5 +1,6 @@
-"""Stacked fits of Process III's folds: LR and ANN fit every training fold of
-one size in a single loop, and each fold must come out exactly as its own fit.
+"""Stacked fits: LR and ANN fit the training sets of every process, of any row
+counts, in a single zero-padded loop, and each must come out exactly as its
+own fit.
 
 The oracles are per-fold calls (`fit_logistic`, `fit_mlp`, and a cell run
 fold by fold) and the single-fit loops written with plain 2-D products, so no
@@ -21,28 +22,35 @@ from ecobench import (
     LogisticModel,
     MlpModel,
     ProcessKind,
+    SyntheticSpec,
     confusion_matrix,
+    derive_seed,
     fit_logistic,
     fit_mlp,
+    generate_ecological,
     k_fold,
     macro_aggregate,
     make_algorithm,
     measures,
+    run_benchmark,
     run_process,
     sigmoid,
     TrainTrace,
     standardize,
+    train_test_split,
 )
+from ecobench import cli, evaluation
+from ecobench.dataset import stack_datasets
 from ecobench.evaluation import CELL_ERRORS, AlgorithmAdapter, algorithm_adapter
-from ecobench.linear_prob import fit_logistic_stacked
-from ecobench.neural import fit_mlp_stacked
+from ecobench.linear_prob import _logistic_inputs, _logistic_kernel, fit_logistic_stacked
+from ecobench.neural import _backprop, _layers, fit_mlp_stacked
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
-def _table(seed, n, p, c):
+def _table(seed, n, p, c, scale=3.0):
     rng = np.random.default_rng(seed)
-    return Dataset(rng.normal(size=(n, p)) * 3.0, rng.integers(0, c, size=n),
+    return Dataset(rng.normal(size=(n, p)) * scale, rng.integers(0, c, size=n),
                    tuple(f"f{j}" for j in range(p)), tuple("ABCDE"[:c]))
 
 
@@ -53,15 +61,9 @@ def _trains(ds, k, seed):
 
 
 def _stacked(fit_stacked, trains, **params):
-    """Per train, in order, its result from one stacked call per row count."""
-    results = [None] * len(trains)
-    for size in {train.n_samples for train in trains}:
-        group = [i for i, train in enumerate(trains) if train.n_samples == size]
-        with _quiet():
-            fitted = fit_stacked(tuple(trains[i] for i in group), **params)
-        for i, result in zip(group, fitted):
-            results[i] = result
-    return results
+    """Per train, in order, its result from one stacked call."""
+    with _quiet():
+        return fit_stacked(tuple(trains), **params)
 
 
 @contextlib.contextmanager
@@ -167,12 +169,14 @@ def _fit_mlp_2d(ds, q, epochs, learning_rate, seed, init_scale):
     return model, TrainTrace(trace)
 
 
-def _per_fold_row(ds, spec, kind, seed):
+def _per_fold_row(ds, spec, kind, split_seed, seed=None):
     """A Process III cell run one fold after another (standardize, fit,
-    predict), as (aggregates, measures, error)."""
+    predict), as (aggregates, measures, error); `seed` defaults to the split
+    seed."""
     adapter = algorithm_adapter(spec.name)
+    seed = split_seed if seed is None else seed
     try:
-        plan = k_fold(ds, kind.folds, seed)
+        plan = k_fold(ds, kind.folds, split_seed)
         actual, predicted = [], []
         for i, fold in enumerate(plan.folds):
             train, scaling = standardize(ds.subset(plan.train_indices(i)))
@@ -235,7 +239,7 @@ def test_stacked_mlp_equals_per_fold_fits(table, q, epochs, learning_rate, init_
     ds, k, seed = table
     params = dict(q=q, epochs=epochs, learning_rate=learning_rate, init_scale=init_scale)
     trains = _trains(ds, k, seed)
-    stacked = _stacked(fit_mlp_stacked, trains, seed=seed, **params)
+    stacked = _stacked(fit_mlp_stacked, trains, seeds=[seed] * k, **params)
     for train, result in zip(trains, stacked):
         assert _bytes(result) == _outcome(lambda: fit_mlp(train, seed=seed, **params))
         assert _bytes(result) == _outcome(lambda: _fit_mlp_2d(train, seed=seed, **params))
@@ -266,7 +270,7 @@ def _stops(results):
     "seed, params, stops, error",
     [
         (0, dict(learning_rate=1.0, max_iter=3000, tolerance=1e-3), [62, 46, 45, 44], None),
-        # folds 0-2 share one stack; fold 2 fails first, fold 0's error is the row's
+        # fold 2 fails first, fold 0's error is the row's
         (2, dict(learning_rate=1.5e308, max_iter=200, tolerance=0.0),
          ["failed at 39", "failed at 73", "failed at 29", 200],
          "training loss became non-finite at iteration 39"),
@@ -293,8 +297,7 @@ def test_logistic_folds_leave_the_stack_at_their_own_iteration(seed, params, sto
     "seed, n, p, k, params, stops, error",
     [
         (0, 6, 2, 3, dict(q=2, epochs=4000, learning_rate=0.3), [599, 1627, 4000], None),
-        # folds 0-2 share one stack, where fold 1 fails first; fold 3, alone in
-        # its stack, fails earlier still; fold 0's error is the row's
+        # fold 3 fails first, then fold 1; fold 0's error is the row's
         (0, 31, 4, 4, dict(q=3, epochs=400, learning_rate=0.9),
          ["failed at 106", "failed at 102", "failed at 107", "failed at 98"],
          "training loss became non-finite at epoch 106"),
@@ -304,7 +307,7 @@ def test_logistic_folds_leave_the_stack_at_their_own_iteration(seed, params, sto
 def test_mlp_folds_leave_the_stack_at_their_own_epoch(seed, n, p, k, params, stops, error):
     ds = _table(seed, n, p, 2 if n < 10 else 4)
     trains = _trains(ds, k, seed)
-    stacked = _stacked(fit_mlp_stacked, trains, seed=seed, **params)
+    stacked = _stacked(fit_mlp_stacked, trains, seeds=[seed] * k, **params)
     assert _stops(stacked) == stops
     for train, result in zip(trains, stacked):
         assert _bytes(result) == _outcome(lambda: _fit_mlp_2d(train, seed=seed, init_scale=0.5,
@@ -325,29 +328,261 @@ def test_fold_validation_fails_in_fold_order():
 
 
 def test_stacks_must_share_one_shape():
-    trains = _trains(_table(1, 7, 2, 2), 3, 1)
-    with pytest.raises(ValueError, match="share"):
-        fit_logistic_stacked(tuple(trains))
-    with pytest.raises(ValueError, match="share"):
-        fit_mlp_stacked(tuple(trains))
+    # row counts may differ; feature and class counts may not
+    for other in (_table(1, 7, 3, 2), _table(1, 7, 2, 3)):
+        with pytest.raises(ValueError, match="share"):
+            fit_logistic_stacked((_table(1, 7, 2, 2), other))
+        with pytest.raises(ValueError, match="share"):
+            fit_mlp_stacked((_table(1, 7, 2, 2), other), (0, 0))
 
 
 def test_fold_fits_run_when_their_results_are_asked_for():
-    # per-fold fits run one at a time, so a cell never holds every fold's
-    # forest at once; a stacked fit runs once per row count, at the first ask
+    # per-train fits run one at a time, each with its own seed, so a cell
+    # never holds every fold's forest at once; a stacked fit runs once, for
+    # every row count, at the first ask
     trains = _trains(_table(5, 31, 2, 2), 4, 5)
     calls = []
     one_at_a_time = AlgorithmAdapter(
-        "X", object, lambda train, seed, p: calls.append(train) or len(calls), None, ())
-    results = one_at_a_time.fit_folds(trains, 0, {})
+        "X", object, lambda train, seed, p: calls.append(train) or seed, None, ())
+    results = one_at_a_time.fit_folds(trains, [7, 8, 9, 10], {})
     assert calls == []
-    assert next(results) == 1 and len(calls) == 1
-    assert list(results) == [2, 3, 4]
+    assert next(results) == 7 and len(calls) == 1
+    assert list(results) == [8, 9, 10]
     stacked = AlgorithmAdapter(
         "X", object, None, None, (),
-        lambda group, seed, p: calls.append(group) or [len(t.labels) for t in group])
+        lambda group, seeds, p: calls.append((group, seeds)) or [len(t.labels) for t in group])
     calls.clear()
-    results = stacked.fit_folds(trains, 0, {})
+    results = stacked.fit_folds(trains, [7, 8, 9, 10], {})
     assert next(results) == 23
-    assert [len(group) for group in calls] == [3, 1]
+    assert [(len(group), seeds) for group, seeds in calls] == [(4, (7, 8, 9, 10))]
     assert list(results) == [23, 23, 24]
+
+
+# Ragged stacks: the training sets of every process, of any row counts, in one
+# zero-padded loop.
+
+def _grid_trains(ds, master_seed, folds):
+    """The standardized training sets of Processes I, II and III in the
+    order `run_benchmark` stacks them, and each one's ANN cell seed."""
+    trains, seeds = [], []
+    for kind in (ProcessKind("I"), ProcessKind("II"), ProcessKind("III", folds=folds)):
+        split_seed = derive_seed(master_seed, "split", kind.name)
+        if kind.name == "I":
+            raw = [ds]
+        elif kind.name == "II":
+            raw = [train_test_split(ds, kind.train_fraction, split_seed)[0]]
+        else:
+            plan = k_fold(ds, folds, split_seed)
+            raw = [ds.subset(plan.train_indices(i)) for i in range(folds)]
+        trains += [standardize(train)[0] for train in raw]
+        seeds += [derive_seed(master_seed, "ANN", kind.name)] * len(raw)
+    return trains, seeds
+
+
+@pytest.mark.parametrize("n_per_class, folds, sizes", [
+    (10, 3, [30, 22, 20, 20, 20]),
+    (10, 4, [30, 22, 22, 22, 23, 23]),
+])
+def test_grid_trains_of_every_process_fit_in_one_stack(n_per_class, folds, sizes):
+    ds = generate_ecological(SyntheticSpec(n_per_class=n_per_class, seed=42))
+    trains, seeds = _grid_trains(ds, 42, folds)
+    assert [t.n_samples for t in trains] == sizes
+    for train, result in zip(trains, _stacked(fit_logistic_stacked, trains)):
+        assert _bytes(result) == _outcome(lambda: fit_logistic(train))
+    for train, seed, result in zip(trains, seeds, _stacked(fit_mlp_stacked, trains, seeds=seeds)):
+        assert _bytes(result) == _outcome(lambda: fit_mlp(train, seed=seed))
+
+
+@st.composite
+def _ragged_tables(draw):
+    """Tables of one feature and class count and of any row counts from 2 to
+    40, each drawn from its own seed."""
+    p, c = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    counts = draw(st.lists(st.integers(2, 40), min_size=1, max_size=5))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(counts),
+                          max_size=len(counts)))
+    return [_table(seed, n, p, c) for seed, n in zip(seeds, counts)]
+
+
+@PROPERTY
+@given(
+    _ragged_tables(),
+    st.sampled_from([0.1, 1.0, 1.5e308]),
+    st.integers(0, 200),
+    st.sampled_from([0.0, 1e-4, 1e-3]),
+)
+def test_ragged_logistic_stack_equals_lone_fits(tables, learning_rate, max_iter, tolerance):
+    params = dict(learning_rate=learning_rate, max_iter=max_iter, tolerance=tolerance)
+    for table, result in zip(tables, _stacked(fit_logistic_stacked, tables, **params)):
+        assert _bytes(result) == _outcome(lambda: fit_logistic(table, **params))
+        assert _bytes(result) == _outcome(lambda: _fit_logistic_2d(table, **params))
+
+
+@PROPERTY
+@given(
+    _ragged_tables(),
+    st.lists(st.integers(0, 3), min_size=5, max_size=5),
+    st.integers(1, 4),
+    st.integers(0, 300),
+    st.sampled_from([0.01, 0.3, 0.9]),
+    st.sampled_from([0.5, 2.0]),
+)
+def test_ragged_mlp_stack_equals_lone_fits(tables, seeds, q, epochs, learning_rate, init_scale):
+    # a few seeds for up to five tables, so some share their start weights
+    params = dict(q=q, epochs=epochs, learning_rate=learning_rate, init_scale=init_scale)
+    seeds = seeds[: len(tables)]
+    stacked = _stacked(fit_mlp_stacked, tables, seeds=seeds, **params)
+    for table, seed, result in zip(tables, seeds, stacked):
+        assert _bytes(result) == _outcome(lambda: fit_mlp(table, seed=seed, **params))
+        assert _bytes(result) == _outcome(lambda: _fit_mlp_2d(table, seed=seed, **params))
+
+
+def test_ragged_logistic_members_leave_at_their_own_iteration():
+    # tables of 6, 40, 25 and 9 rows at feature scales 3, 1, 0.3 and 10:
+    # member 3 diverges at iteration 2, members 0 and 1 settle, member 2 runs
+    # to the cap; each leaves the stack with the bits of its own fit
+    tables = [_table(20 + i, n, 2, 2, scale)
+              for i, (n, scale) in enumerate(zip((6, 40, 25, 9), (3.0, 1.0, 0.3, 10.0)))]
+    params = dict(learning_rate=1e307, max_iter=300, tolerance=1e-3)
+    stacked = _stacked(fit_logistic_stacked, tables, **params)
+    assert _stops(stacked) == [4, 28, 300, "failed at 2"]
+    for table, result in zip(tables, stacked):
+        assert _bytes(result) == _outcome(lambda: _fit_logistic_2d(table, **params))
+
+
+def test_ragged_mlp_members_leave_at_their_own_epoch_with_their_own_seed():
+    # three 4-row folds (two settle, one runs to the cap) stacked with a
+    # 40-row and a 15-row table that diverge mid-stack; fold 1 has its own seed
+    tables = _trains(_table(0, 6, 2, 2), 3, 0) + [_table(0, 40, 2, 2, 1.0),
+                                                  _table(5, 15, 2, 2, 0.5)]
+    seeds = [0, 5, 0, 1, 2]
+    params = dict(q=2, epochs=4000, learning_rate=0.3)
+    stacked = _stacked(fit_mlp_stacked, tables, seeds=seeds, **params)
+    assert _stops(stacked) == [599, 401, 4000, "failed at 121", "failed at 282"]
+    for table, seed, result in zip(tables, seeds, stacked):
+        assert _bytes(result) == _outcome(lambda: _fit_mlp_2d(table, seed=seed, init_scale=0.5,
+                                                               **params))
+
+
+def _kernel_tables():
+    """Three tables of 30, 22 and 9 rows, longest first, as a stack is sorted."""
+    return [_table(seed, n, 3, 3) for seed, n in ((1, 30), (2, 22), (3, 9))]
+
+
+def test_logistic_kernel_padding_keeps_an_infinite_intercept_to_its_member():
+    # a -inf intercept leaves member 1's loss finite, but its zero padding
+    # rows score 0 * -inf = NaN; the NaN must reach neither member 1's
+    # gradient nor its neighbours'
+    tables = _kernel_tables()
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(3, 3, 4))
+    w[:, -1] = 0.0
+    w[1, 0, 0] = -np.inf
+    features, labels, counts = stack_datasets(tables)
+    inputs = _logistic_inputs(features, labels, counts, 3)
+    with _quiet():
+        assert np.isnan(inputs[0][1] @ w[1].T).any()
+        losses, grad = _logistic_kernel(w, *inputs)
+    for i, table in enumerate(tables):
+        alone = _logistic_inputs(table.features[None], table.labels[None], [table.n_samples], 3)
+        with _quiet():
+            (loss,), lone_grad = _logistic_kernel(w[i][None], *alone)
+        assert np.isfinite(loss) and np.isfinite(lone_grad).all()
+        assert np.float64(losses[i]).tobytes() == np.float64(loss).tobytes()
+        assert grad[i].tobytes() == lone_grad[0].tobytes()
+
+
+def test_mlp_kernel_padding_keeps_an_infinite_input_weight_to_its_member():
+    # an infinite input weight saturates member 1's real hidden units, but
+    # its zero padding rows give 0 * inf = NaN; the NaN must reach neither
+    # member 1's outputs and gradients nor its neighbours'
+    tables = _kernel_tables()
+    rng = np.random.default_rng(0)
+    w1, b1 = rng.normal(size=(3, 3, 4)), rng.normal(size=(3, 1, 4))
+    w2, b2 = rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 1, 3))
+    w1[1, 0, 2] = np.inf
+    x, labels, counts = stack_datasets(tables)
+    targets = np.zeros((3, 30, 3))
+    np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
+    pad = np.arange(30)[None, :, None] >= np.array(counts)[:, None, None]
+    with _quiet():
+        hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
+        d_out -= targets
+        np.copyto(d_out, 0.0, where=pad)
+        grads = _backprop(x.swapaxes(-1, -2), hidden, d_out, w2.swapaxes(-1, -2))
+    for i, table in enumerate(tables):
+        n = table.n_samples
+        with _quiet():
+            lone_hidden, lone_d_out = _layers(table.features, w1[i], b1[i], w2[i], b2[i])
+            lone_d_out -= targets[i, :n]
+            lone_grads = _backprop(table.features.T, lone_hidden, lone_d_out, w2[i].T)
+        assert np.isfinite(lone_d_out).all()
+        assert hidden[i, :n].tobytes() == lone_hidden.tobytes()
+        assert d_out[i, :n].tobytes() == lone_d_out.tobytes()
+        assert (d_out[i, n:] == 0).all() and (hidden[i, n:] == 0).all()
+        for got, want in zip(grads, lone_grads):
+            assert np.isfinite(want).all()
+            assert got[i].tobytes() == want.tobytes()
+
+
+def _light(name):
+    """Cell settings that keep a grid quick: RF is not stacked, and LR and
+    ANN run to their caps on these tables at any cap."""
+    return make_algorithm(name, **{"RF": {"n_trees": 10}, "LR": {"max_iter": 800},
+                                   "ANN": {"epochs": 400}}.get(name, {}))
+
+
+def _cell(row):
+    return repr((row.algorithm, row.process, row.aggregates, row.measures, row.error, row.seed))
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 42])
+@pytest.mark.parametrize("folds", [3, 4])
+@pytest.mark.parametrize("n_per_class", [10, 11])
+def test_run_benchmark_rows_equal_cell_by_cell_runs(master_seed, folds, n_per_class):
+    ds = generate_ecological(SyntheticSpec(n_per_class=n_per_class, seed=master_seed))
+    algorithms = [_light(name) for name in ALGORITHM_ORDER]
+    kinds = (ProcessKind("I"), ProcessKind("II"), ProcessKind("III", folds=folds))
+    report = run_benchmark(ds, algorithms, kinds, master_seed=master_seed)
+    expected = [
+        run_process(ds, spec, kind, seed=derive_seed(master_seed, spec.name, kind.name),
+                    split_seed=derive_seed(master_seed, "split", kind.name))
+        for kind in kinds for spec in algorithms
+    ]
+    assert [_cell(row) for row in report.rows] == [_cell(row) for row in expected]
+    assert all(row.ok for row in report.rows)
+
+
+def test_run_benchmark_keeps_each_cells_error_rule():
+    # one row at 1e160 makes every train that holds it unscalable (its
+    # variance overflows): Process I, and every Process III fold but the one
+    # that tests on it. Pairs after an unscalable train are not fit, and a
+    # cell reports the error a pair-by-pair run meets first.
+    ds = _table(4, 12, 2, 3)
+    features = ds.features.copy()
+    features[5, 0] = 1e160
+    ds = Dataset(features, ds.labels, ds.feature_names, ds.class_names)
+    algorithms = [_light(name) for name in ("DT", "ANN", "LR")]
+    kinds = (ProcessKind("I"), ProcessKind("II"), ProcessKind("III", folds=4))
+    with _quiet():
+        report = run_benchmark(ds, algorithms, kinds, master_seed=3)
+        for kind in kinds:
+            split_seed = derive_seed(3, "split", kind.name)
+            for spec in algorithms:
+                seed = derive_seed(3, spec.name, kind.name)
+                row = report.get(spec.name, kind.name)
+                assert _cell(row) == _cell(run_process(ds, spec, kind, seed, split_seed))
+                if kind.name == "III":
+                    assert repr((row.aggregates, row.measures, row.error)) == \
+                        _per_fold_row(ds, spec, kind, split_seed, seed)
+    assert {row.process for row in report.rows if not row.ok} >= {"I", "III"}
+
+
+def test_default_bench_runs_one_loop_per_stacked_algorithm(tmp_path, monkeypatch):
+    calls = []
+    for name in ("fit_logistic_stacked", "fit_mlp_stacked", "fit_logistic", "fit_mlp"):
+        fn = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name,
+                            lambda *args, fn=fn, name=name, **kw: calls.append(name) or fn(*args, **kw))
+    assert cli.entry(["bench", "--synthetic", "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(calls) == ["fit_logistic_stacked", "fit_mlp_stacked"]
