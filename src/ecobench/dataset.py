@@ -161,16 +161,36 @@ def padding(counts, n: int):
     return (np.arange(n) >= np.array(counts)[:, None])[:, :, None], groups
 
 
-def own_row_sums(values: np.ndarray, groups) -> list[float]:
-    """Per stack member, the sum of its own rows of the (k, n, ...) `values`
-    as a float, for the row-count runs `groups` of `padding`: one sum per run
-    over a view of its members' real rows, so each adds its terms in the
-    order a lone member's sum would, and padding rows, which would change
-    numpy's pairwise grouping, stay out. With no padding, one sum."""
+def own_row_sums(values: np.ndarray, groups) -> np.ndarray:
+    """Per step and stack member, the sum of that member's own rows of the
+    (s, k, n, ...) `values` of s steps, as an (s, k) array, for the
+    row-count runs `groups` of `padding`: one sum per run over a view of its
+    members' real rows, so each adds its terms in the order a lone member's
+    sum at one step would, and padding rows, which would change numpy's
+    pairwise grouping, stay out. With no padding, one sum."""
+    s, k = values.shape[:2]
     if groups is None:
-        return values.reshape(len(values), -1).sum(axis=1).tolist()
-    return [s for start, stop, n in groups
-            for s in values[start:stop, :n].reshape(stop - start, -1).sum(axis=1).tolist()]
+        return values.reshape(s, k, -1).sum(axis=2)
+    return np.concatenate([values[:, start:stop, :n].reshape(s, stop - start, -1).sum(axis=2)
+                           for start, stop, n in groups], axis=1)
+
+
+# gradient steps a stacked fit takes between two stop tests (`first_stops`)
+BLOCK_STEPS = 32
+
+
+def first_stops(losses: np.ndarray, prev: np.ndarray, tolerance: float, capped: bool):
+    """Per stack member, the first step of a block of gradient steps at which
+    its fit stops, or s where it runs on, from the (s, k) `losses` of the
+    block's s steps and the (k,) losses of the steps before them (inf before
+    a fit's first step). A fit stops at a non-finite loss, where its loss
+    settles (a nonnegative improvement below `tolerance`) and, when `capped`,
+    at the block's last step. Steps after a member's stop are thrown away."""
+    before = np.concatenate([prev[None], losses[:-1]])
+    gain = before - losses
+    stop = ~np.isfinite(losses) | ((0.0 <= gain) & (gain < tolerance))
+    stop[-1] |= capped
+    return np.where(stop.any(axis=0), stop.argmax(axis=0), len(losses)).tolist()
 
 
 @dataclass(frozen=True)

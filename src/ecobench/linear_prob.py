@@ -4,6 +4,7 @@ multinomial logistic regression, and Gaussian naive Bayes."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -11,8 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (
+    BLOCK_STEPS,
     Dataset,
     as_rows,
+    first_stops,
     freeze_arrays,
     own_row_sums,
     padding,
@@ -225,41 +228,65 @@ class LogisticModel:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in `scores`, which it
+    returns. Chains of `np.maximum` and `np.add` over the class columns cost
+    less than `max` and `sum` on short rows and give their bits: a max is
+    exact in any order, and numpy sums a last axis shorter than 8 from left
+    to right (pairwise from 8 on, so `sum` stays there)."""
+    cols = [scores[..., j] for j in range(scores.shape[-1])]
+    scores -= functools.reduce(np.maximum, cols)[..., None]
+    np.exp(scores, out=scores)
+    scores /= (functools.reduce(np.add, cols) if len(cols) < 8 else scores.sum(axis=-1))[..., None]
+    return scores
 
 
-def _logistic_kernel(w, design, onehot, picked, counts, divisor, pad, groups):
-    """Mean cross-entropy of each stacked train (a list of floats) and the
-    stacked gradient, from the inputs `_logistic_inputs` builds; the pinned
-    last rows' gradient is 0. A padding row adds exact zeros to the gradient
-    and nothing to the loss."""
+def _logistic_step(w, inputs, picks):
+    """The array work of one descent step at the stacked weights `w`, from
+    the `_logistic_inputs` of the stack: writes each row's true-class
+    probability into the (k, n) `picks` and returns the stacked gradient; the
+    pinned last rows' gradient is 0. A padding row adds exact zeros."""
+    design, onehot, picked, divisor, pad, _ = inputs
     probs = _softmax_rows(design @ w.transpose(0, 2, 1))
-    # a row sum over n then one division is bit for bit `np.mean` of that row
-    sums = own_row_sums(np.log(probs.take(picked) + 1e-300), groups)
-    losses = [-(s / n) for s, n in zip(sums, counts)]
-    delta = probs - onehot
+    probs.take(picked, out=picks, mode="clip")
+    probs -= onehot
     if pad is not None:
         # copyto, not a 0/1 product: a padding row's scores are NaN where a
         # weight is infinite, and NaN * 0 is NaN
-        np.copyto(delta, 0.0, where=pad)
+        np.copyto(probs, 0.0, where=pad)
     # both sides are at least two wide (c >= 2 classes, p + 1 >= 2 columns),
     # so numpy runs this as a BLAS matrix product, which adds each entry's
     # terms in row order: trailing zero rows change no bit (fit_mlp_stacked
     # has the one-wide case)
-    grad = delta.transpose(0, 2, 1) @ design / divisor
+    grad = probs.transpose(0, 2, 1) @ design
+    grad /= divisor
     grad[:, -1] = 0.0
-    return losses, grad
+    return grad
+
+
+def _logistic_losses(picks, inputs):
+    """The (s, k) mean cross-entropies of the k trains of a stack with
+    `_logistic_inputs` at s steps, from the (s, k, n) true-class
+    probabilities `_logistic_step` writes."""
+    divisor, groups = inputs[3], inputs[5]
+    # a row sum over n then one division is bit for bit `np.mean` of that row
+    return -(own_row_sums(np.log(picks + 1e-300), groups) / divisor[:, 0, 0])
+
+
+def _logistic_kernel(w, *inputs):
+    """Mean cross-entropy of each stacked train (a (k,) array) and the
+    stacked gradient at the weights `w`: one `_logistic_step`, scored."""
+    picks = np.empty(inputs[2].shape)
+    grad = _logistic_step(w, inputs, picks)
+    return _logistic_losses(picks[None], inputs)[0], grad
 
 
 def _logistic_inputs(features, labels, counts, n_classes):
-    """The weight-independent inputs of `_logistic_kernel` for a stack of
+    """The weight-independent inputs of `_logistic_step` for a stack of
     (k, n, p) features and (k, n) labels whose members have `counts` rows,
     sorted longest first: the `[1 | X]` designs (padding rows all zero), the
     one-hot labels, the flat index of each row's true-class probability, the
-    row counts as a list and as a (k, 1, 1) divisor, and the padding rows'
-    mask and row-count runs of `dataset.padding`. Built once per stack."""
+    row counts as a (k, 1, 1) divisor, and the padding rows' mask and
+    row-count runs of `dataset.padding`. Built once per stack."""
     k, n = labels.shape
     pad, groups = padding(counts, n)
     design = np.concatenate([np.ones((k, n, 1)), features], axis=2)
@@ -269,7 +296,7 @@ def _logistic_inputs(features, labels, counts, n_classes):
     onehot = np.zeros((k, n, n_classes))
     np.put(onehot, picked, 1.0)
     divisor = np.array(counts, dtype=np.float64)[:, None, None]
-    return design, onehot, picked, counts, divisor, pad, groups
+    return design, onehot, picked, divisor, pad, groups
 
 
 def logistic_loss_and_gradient(weights, features, labels):
@@ -279,7 +306,7 @@ def logistic_loss_and_gradient(weights, features, labels):
     y = np.asarray(labels, dtype=np.int64)
     inputs = _logistic_inputs(x[None], y[None], [y.size], w.shape[0])
     (loss,), grad = _logistic_kernel(w[None], *inputs)
-    return loss, grad[0]
+    return float(loss), grad[0]
 
 
 def fit_logistic(
@@ -312,8 +339,13 @@ def fit_logistic_stacked(
 
     The designs are stacked as one (k, n, p+1) array, the shorter ones padded
     with zero rows, so each iteration is a few batched products for all of
-    them. A dataset leaves the stack when its own loss settles or turns
-    non-finite, and its model is bit for bit the one `fit_logistic` gives it
+    them. The loop runs in blocks of `dataset.BLOCK_STEPS` iterations: an
+    iteration only writes its weights and true-class probabilities into
+    buffers allocated once per block, and the losses, histories and stop
+    tests of the whole block follow at its end (`dataset.first_stops`). A
+    dataset leaves the stack at the end of the block in which its own loss
+    settles or turns non-finite; the iterations it took after that are
+    thrown away, and its model is bit for bit the one `fit_logistic` gives it
     alone. Returns, per dataset in order, its model or the ValueError its own
     fit raises.
     """
@@ -333,45 +365,58 @@ def fit_logistic_stacked(
     # longest first, so that the members of one row count are one slice of the stack
     live.sort(key=lambda j: -datasets[j].n_samples)
     features, labels, counts = stack_datasets([datasets[j] for j in live])
-    c, p = datasets[live[0]].n_classes, features.shape[2]
+    c, (n, p) = datasets[live[0]].n_classes, features.shape[1:]
     inputs = _logistic_inputs(features, labels, counts, c)
     w = np.zeros((len(live), c, p + 1))
     histories = [[] for _ in live]
-    prev = [math.inf] * len(live)  # no settling test before the first step
-    for it in range(max_iter + 1):
-        losses, grad = _logistic_kernel(w, *inputs)
-        # stop tests on Python floats: array-valued tests cost more than the
-        # arithmetic at one fold and a few dozen rows
+    prev = np.full(len(live), math.inf)  # no settling test before the first step
+    start = 0
+    while True:
+        steps = min(BLOCK_STEPS, max_iter + 1 - start)
+        ws = np.empty((steps + 1,) + w.shape)
+        ws[0] = w
+        picks = np.empty((steps, len(live), n))
+        for i in range(steps):
+            grad = _logistic_step(ws[i], inputs, picks[i])
+            grad *= learning_rate
+            np.subtract(ws[i], grad, out=ws[i + 1])
+        losses = _logistic_losses(picks, inputs)
+        stops = first_stops(losses, prev, tolerance, start + steps > max_iter)
         keep = []
-        for pos, loss in enumerate(losses):
-            if not math.isfinite(loss):
+        for pos, (j, history) in enumerate(zip(stops, losses.T.tolist())):
+            it = start + j
+            if j == steps:
+                histories[pos] += history
+                keep.append(pos)
+            elif not math.isfinite(history[j]):
                 results[live[pos]] = ValueError(
                     f"training loss became non-finite at iteration {it}")
-                continue
-            if it < max_iter:
-                histories[pos].append(loss)
-                if not 0.0 <= prev[pos] - loss < tolerance:
-                    keep.append(pos)
-                    continue
-            results[live[pos]] = LogisticModel(w[pos], it, loss, histories[pos])
+            else:
+                # the capped iteration's loss is the final loss, not history
+                histories[pos] += history[: j + (it < max_iter)]
+                results[live[pos]] = LogisticModel(ws[j, pos].copy(), it, history[j],
+                                                   histories[pos])
+        if not keep:
+            return tuple(results)
+        w, prev, start = ws[-1], losses[-1], start + steps
         if len(keep) < len(live):
-            if not keep:
-                break
             live = [live[pos] for pos in keep]
             histories = [histories[pos] for pos in keep]
-            losses = [losses[pos] for pos in keep]
             counts = [counts[pos] for pos in keep]
-            w, grad, features, labels = w[keep], grad[keep], features[keep], labels[keep]
+            w, prev, features, labels = w[keep], prev[keep], features[keep], labels[keep]
             inputs = _logistic_inputs(features, labels, counts, c)
-        w = w - learning_rate * grad
-        prev = losses
-    return tuple(results)
 
 
+# a score past the float range is a ValueError below; one that only pushes a
+# class's shifted score past it gives that class probability 0, as it should
+@np.errstate(over="ignore", invalid="ignore")
 def predict_logistic_proba(model: LogisticModel, x) -> np.ndarray:
-    """Class probabilities of each row; they sum to 1."""
+    """Class probabilities of each row; they sum to 1. A ValueError when a
+    row's class scores overflow (weights of a fit with a huge step)."""
     rows, single = as_rows(x, model.n_features)
     probs = _softmax_rows(np.hstack([np.ones((rows.shape[0], 1)), rows]) @ model.weights.T)
+    if np.isnan(probs).any():
+        raise ValueError("class scores are not finite: the weights overflow on these rows")
     probs /= probs.sum(axis=1, keepdims=True)
     return probs[0] if single else probs
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (
+    BLOCK_STEPS,
     Dataset,
     as_rows,
+    first_stops,
     freeze_arrays,
     own_row_sums,
     padding,
@@ -163,10 +165,15 @@ def fit_mlp_stacked(
 
     Every network starts from the weights its own seed draws. The datasets
     are stacked as (k, n, p) arrays, the shorter ones padded with zero rows,
-    so each epoch is a few batched products for all of them. A network leaves
-    the stack when its own SSE settles or turns non-finite, and its weights
-    and trace are bit for bit the ones `fit_mlp` gives it alone. Returns, per
-    dataset in order, its (model, trace) or the ValueError its own fit raises.
+    so each epoch is a few batched products for all of them. The loop runs
+    in blocks of `dataset.BLOCK_STEPS` epochs: an epoch only writes its
+    weights and squared output errors into buffers allocated once per block,
+    and the SSEs, traces and stop tests of the whole block follow at its end
+    (`dataset.first_stops`). A network leaves the stack at the end of the
+    block in which its own SSE settles or turns non-finite; the epochs it
+    took after that are thrown away, and its weights and trace are bit for
+    bit the ones `fit_mlp` gives it alone. Returns, per dataset in order, its
+    (model, trace) or the ValueError its own fit raises.
     """
     if q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
         return tuple(ValueError("q must be >= 1; epochs, learning_rate, init_scale nonnegative")
@@ -201,60 +208,65 @@ def fit_mlp_stacked(
     targets = np.zeros((k, n, c))
     np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
     if k == 1:  # one network trains on 2-D arrays, whose products cost less per call
-        (w1, b1, w2, b2), x, targets = starts[seeds[0]], x[0], targets[0]
+        weights, x, targets = starts[seeds[0]], x[0], targets[0]
     else:
-        w1, b1, w2, b2 = (np.stack(arrs) for arrs in zip(*(starts[seeds[j]] for j in live)))
-    xt, w2t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)  # views; w2 is updated in place
+        weights = [np.stack(arrs) for arrs in zip(*(starts[seeds[j]] for j in live))]
+    xt = x.swapaxes(-1, -2)
     pad, groups = padding(counts, n)
-    prev = [math.inf] * k  # no improvement test before the first update
+    prev = np.full(k, math.inf)  # no improvement test before the first update
     traces = [[] for _ in live]
-    for epoch in range(epochs + 1):
-        # one forward pass scores the last update and feeds the next
-        hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
-        d_out -= targets
-        if pad is not None:
-            np.copyto(d_out, 0.0, where=pad)
-        sses = own_row_sums((d_out ** 2).reshape(-1, n, c), groups)
-        # stop tests on Python floats: array-valued tests cost more than the
-        # arithmetic at one network and a few dozen rows
+    start = 0
+    while True:
+        steps = min(BLOCK_STEPS, epochs + 1 - start)
+        blocks = [np.empty((steps + 1,) + w.shape) for w in weights]
+        for block, w in zip(blocks, weights):
+            block[0] = w
+        squares = np.empty((steps,) + targets.shape)
+        for i in range(steps):
+            # one forward pass scores the last update and feeds the next
+            w1, b1, w2, b2 = (block[i] for block in blocks)
+            hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
+            d_out -= targets
+            if pad is not None:
+                np.copyto(d_out, 0.0, where=pad)
+            np.square(d_out, out=squares[i])
+            for block, grad in zip(blocks, _backprop(xt, hidden, d_out, w2.swapaxes(-1, -2))):
+                grad *= learning_rate
+                np.subtract(block[i], grad, out=block[i + 1])
+        sses = own_row_sums(squares.reshape(steps, -1, n, c), groups)
+        stops = first_stops(sses, prev, 1e-10, start + steps > epochs)
         keep = []
-        for pos, sse in enumerate(sses):
-            if not math.isfinite(sse):
-                results[live[pos]] = ValueError(
-                    f"training loss became non-finite at epoch {epoch}")
-                continue
-            if epoch:
-                traces[pos].append(sse)
-            if epoch < epochs and not 0.0 <= prev[pos] - sse < 1e-10:
+        # epoch 0 scores the start weights, which no trace holds
+        for pos, (j, trace) in enumerate(zip(stops, sses[start == 0:].T.tolist())):
+            if j == steps:
+                traces[pos] += trace
                 keep.append(pos)
                 continue
+            if not math.isfinite(sses[j, pos]):
+                results[live[pos]] = ValueError(
+                    f"training loss became non-finite at epoch {start + j}")
+                continue
+            traces[pos] += trace[: j + (start > 0)]
+            w1, b1, w2, b2 = (block[j].reshape((-1,) + block.shape[-2:])[pos].copy()
+                              for block in blocks)
             try:
-                model = MlpModel(input_to_hidden=w1.reshape(-1, p, q)[pos],
-                                 hidden_bias=b1.reshape(-1, q)[pos],
-                                 hidden_to_output=w2.reshape(-1, q, c)[pos],
-                                 output_bias=b2.reshape(-1, c)[pos])
+                model = MlpModel(input_to_hidden=w1, hidden_bias=b1[0],
+                                 hidden_to_output=w2, output_bias=b2[0])
             except ValueError as exc:
                 results[live[pos]] = exc
             else:
                 results[live[pos]] = model, TrainTrace(sse=tuple(traces[pos]))
+        if not keep:
+            return tuple(results)
+        weights, prev, start = [block[-1] for block in blocks], sses[-1], start + steps
         if len(keep) < len(live):
-            if not keep:
-                break
             live = [live[pos] for pos in keep]
             traces = [traces[pos] for pos in keep]
-            sses = [sses[pos] for pos in keep]
             counts = [counts[pos] for pos in keep]
-            w1, b1, w2, b2, x, targets, hidden, d_out = (
-                arr[keep] for arr in (w1, b1, w2, b2, x, targets, hidden, d_out))
-            xt, w2t = x.swapaxes(-1, -2), w2.swapaxes(-1, -2)
+            weights, prev, x, targets = ([w[keep] for w in weights], prev[keep], x[keep],
+                                         targets[keep])
+            xt = x.swapaxes(-1, -2)
             pad, groups = padding(counts, n)
-        prev = sses
-        g_in_w, g_in_b, g_out_w, g_out_b = _backprop(xt, hidden, d_out, w2t)
-        w2 -= learning_rate * g_out_w
-        b2 -= learning_rate * g_out_b
-        w1 -= learning_rate * g_in_w
-        b1 -= learning_rate * g_in_b
-    return tuple(results)
 
 
 def predict_mlp(model: MlpModel, x):

@@ -17,6 +17,7 @@ from ecobench import (
     standardize,
     train_test_split,
 )
+from ecobench.dataset import first_stops, own_row_sums, padding
 
 
 def _random_dataset(seed, n=40, p=5, c=3):
@@ -236,6 +237,39 @@ def test_fold_plan_validation():
         FoldPlan((np.array([0, 1]), np.array([1, 2])))
     with pytest.raises(ValueError, match="at most 1"):
         FoldPlan((np.array([0, 1, 2]), np.array([3,]),))
+
+
+@pytest.mark.parametrize("counts", [[7, 7, 7], [30, 22, 20, 20, 20], [40, 9, 9, 2]])
+@pytest.mark.parametrize("tail", [(), (3,)])
+def test_own_row_sums_add_each_members_rows_as_a_lone_sum(counts, tail):
+    # one (steps, k) sum per step and member, each with the bits of a plain
+    # sum over that member's own rows; padding rows hold values that would
+    # change any sum they joined
+    rng = np.random.default_rng(len(counts))
+    n = max(counts)
+    values = rng.normal(scale=1e3, size=(6, len(counts), n) + tail)
+    values[:, np.arange(n) >= np.array(counts)[:, None]] = np.nan
+    sums = own_row_sums(values, padding(counts, n)[1])
+    assert sums.shape == (6, len(counts))
+    for s, step in enumerate(values):
+        for i, rows in enumerate(counts):
+            assert np.float64(sums[s, i]).tobytes() == np.float64(step[i, :rows].sum()).tobytes()
+
+
+def test_first_stops_find_each_members_first_stop_in_a_block():
+    nan, inf = np.nan, np.inf
+    losses = np.array([
+        # settles at 2 | non-finite at 1 | runs on | worsens, then settles at 2 | settles at 0
+        [5.0, 4.0, 9.0, 3.0, 1.0],
+        [4.0, nan, 8.0, 3.5, 1.0],
+        [4.0 - 1e-9, 1.0, 7.0, 3.5, 1.0],
+        [3.0, 1.0, 6.0, 3.5, 1.0],
+    ])
+    prev = np.array([inf, 5.0, inf, 2.0, 1.0 + 1e-9])
+    assert first_stops(losses, prev, 1e-8, capped=False) == [2, 1, 4, 2, 0]
+    # a worsening step never settles; the cap stops a member at the last step
+    assert first_stops(losses, prev, 0.0, capped=False) == [4, 1, 4, 4, 4]
+    assert first_stops(losses, prev, 0.0, capped=True) == [3, 1, 3, 3, 3]
 
 
 def test_generate_ecological_shape_and_names():

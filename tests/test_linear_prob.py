@@ -30,7 +30,7 @@ from ecobench import (
     predict_nb,
     standardize,
 )
-from ecobench.linear_prob import LDA_REGULARIZATION_EPSILON
+from ecobench.linear_prob import LDA_REGULARIZATION_EPSILON, _softmax_rows
 
 
 def _names(p):
@@ -367,6 +367,54 @@ def test_predict_logistic_proba_sums_to_one():
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
+
+
+def _softmax_by_reductions(scores):
+    """The row softmax written with numpy's `max` and `sum` reductions."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def test_softmax_helper_keeps_the_bits_of_the_reductions():
+    # the column chains give the reductions' bits for c < 8 and the helper
+    # keeps `sum` from 8 classes on; rows with infinities and NaN included
+    rng = np.random.default_rng(31)
+    for c in range(2, 13):
+        for shape in ((1, c), (7, c), (5, 30, c), (2, 3, 4, c)):
+            scores = rng.normal(scale=rng.choice([1.0, 30.0, 800.0]), size=shape)
+            flat = scores.reshape(-1, c)
+            rows = rng.choice(len(flat), size=max(1, len(flat) // 2), replace=False)
+            flat[rows, rng.integers(0, c, size=rows.size)] = rng.choice(
+                [np.inf, -np.inf, np.nan, 0.0, -0.0], size=rows.size)
+            with np.errstate(invalid="ignore"):
+                expected = _softmax_by_reductions(scores)
+                assert _softmax_rows(scores).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("c", [3, 9])
+def test_predict_logistic_proba_keeps_the_bits_of_the_reductions(c):
+    rng = np.random.default_rng(18)
+    ds = Dataset(rng.normal(size=(8 * c, 4)), np.repeat(np.arange(c), 8), _names(4),
+                 tuple(f"k{j}" for j in range(c)))
+    model = fit_logistic(ds, max_iter=300)
+
+    def by_reductions(rows):
+        probs = _softmax_by_reductions(np.hstack([np.ones((len(rows), 1)), rows]) @ model.weights.T)
+        return probs / probs.sum(axis=1, keepdims=True)
+
+    rows = rng.normal(scale=3.0, size=(3000, 4))
+    assert predict_logistic_proba(model, rows).tobytes() == by_reductions(rows).tobytes()
+    assert predict_logistic_proba(model, rows[7]).tobytes() == by_reductions(rows[7:8])[0].tobytes()
+
+
+def test_predict_logistic_names_scores_that_overflow():
+    # row 1's scores (1e308, -1e308, 0) shift past the float range only for
+    # class 1, whose probability is then 0; row 2's first score overflows
+    model = LogisticModel(np.array([[0.0, 1e308], [0.0, -1e308], [0.0, 0.0]]), 1, 0.0)
+    assert predict_logistic_proba(model, [1.0]).tolist() == [1.0, 0.0, 0.0]
+    assert predict_logistic(model, np.array([[1.0], [-1.0]])).tolist() == [0, 1]
+    with pytest.raises(ValueError, match="class scores are not finite"):
+        predict_logistic(model, np.array([[1.0], [2.0]]))
 
 
 def test_logistic_model_requires_pinned_last_row():

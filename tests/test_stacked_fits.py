@@ -3,17 +3,20 @@ counts, in a single zero-padded loop, and each must come out exactly as its
 own fit.
 
 The oracles are per-fold calls (`fit_logistic`, `fit_mlp`, and a cell run
-fold by fold) and the single-fit loops written with plain 2-D products, so no
-test assumes that a batched product adds in the order of a 2-D one.
+fold by fold), the single-fit loops written with plain 2-D products, so no
+test assumes that a batched product adds in the order of a 2-D one, and the
+stacked loops that score and test every step before the next, so no test
+assumes that a block of steps stops where a single step would.
 """
 
 import contextlib
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecobench import (
@@ -39,10 +42,15 @@ from ecobench import (
     standardize,
     train_test_split,
 )
-from ecobench import cli, evaluation
-from ecobench.dataset import stack_datasets
+from ecobench import cli, evaluation, linear_prob, neural
+from ecobench.dataset import BLOCK_STEPS, padding, stack_datasets
 from ecobench.evaluation import CELL_ERRORS, AlgorithmAdapter, algorithm_adapter
-from ecobench.linear_prob import _logistic_inputs, _logistic_kernel, fit_logistic_stacked
+from ecobench.linear_prob import (
+    _logistic_inputs,
+    _logistic_kernel,
+    _logistic_step,
+    fit_logistic_stacked,
+)
 from ecobench.neural import _backprop, _layers, fit_mlp_stacked
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -72,6 +80,17 @@ def _quiet():
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         yield
+
+
+@contextlib.contextmanager
+def _block_steps(steps):
+    """Run the stacked fits in blocks of `steps` gradient steps."""
+    saved = linear_prob.BLOCK_STEPS, neural.BLOCK_STEPS
+    linear_prob.BLOCK_STEPS = neural.BLOCK_STEPS = steps
+    try:
+        yield
+    finally:
+        linear_prob.BLOCK_STEPS, neural.BLOCK_STEPS = saved
 
 
 def _outcome(call):
@@ -266,52 +285,62 @@ def _stops(results):
     return out
 
 
+# Each case also runs in blocks of sizes that put its stops at the end of a
+# block, at the start of the next and inside one, besides the fits' own size.
 @pytest.mark.parametrize(
-    "seed, params, stops, error",
+    "seed, params, stops, error, block_sizes",
     [
-        (0, dict(learning_rate=1.0, max_iter=3000, tolerance=1e-3), [62, 46, 45, 44], None),
+        (0, dict(learning_rate=1.0, max_iter=3000, tolerance=1e-3), [62, 46, 45, 44], None,
+         [1, 44, 45, 46, 62, 63]),
         # fold 2 fails first, fold 0's error is the row's
         (2, dict(learning_rate=1.5e308, max_iter=200, tolerance=0.0),
          ["failed at 39", "failed at 73", "failed at 29", 200],
-         "training loss became non-finite at iteration 39"),
+         "training loss became non-finite at iteration 39", [29, 30, 39, 40, 200]),
         # the capped iteration tests its loss like every earlier one: fold 0
         # fails at the cap, where folds 1 and 3 stop
         (2, dict(learning_rate=1.5e308, max_iter=39, tolerance=0.0),
          ["failed at 39", 39, "failed at 29", 39],
-         "training loss became non-finite at iteration 39"),
+         "training loss became non-finite at iteration 39", [29, 30, 39, 40]),
     ],
     ids=["uneven-stops", "later-fold-fails-first", "fails-at-the-cap"],
 )
-def test_logistic_folds_leave_the_stack_at_their_own_iteration(seed, params, stops, error):
+def test_logistic_folds_leave_the_stack_at_their_own_iteration(seed, params, stops, error,
+                                                               block_sizes):
     ds = _table(seed, 31, 4, 4)
     trains = _trains(ds, 4, seed)
     assert [t.n_samples for t in trains] == [23, 23, 23, 24]
-    stacked = _stacked(fit_logistic_stacked, trains, **params)
-    assert _stops(stacked) == stops
-    for train, result in zip(trains, stacked):
-        assert _bytes(result) == _outcome(lambda: _fit_logistic_2d(train, **params))
+    expected = [_outcome(lambda: _fit_logistic_2d(train, **params)) for train in trains]
+    for steps in block_sizes + [BLOCK_STEPS]:
+        with _block_steps(steps):
+            stacked = _stacked(fit_logistic_stacked, trains, **params)
+        assert _stops(stacked) == stops
+        assert [_bytes(result) for result in stacked] == expected
     assert _row(ds, make_algorithm("LR", **params), 4, seed).error == error
 
 
 @pytest.mark.parametrize(
-    "seed, n, p, k, params, stops, error",
+    "seed, n, p, k, params, stops, error, block_sizes",
     [
-        (0, 6, 2, 3, dict(q=2, epochs=4000, learning_rate=0.3), [599, 1627, 4000], None),
+        (0, 6, 2, 3, dict(q=2, epochs=4000, learning_rate=0.3), [599, 1627, 4000], None,
+         [599, 600, 1627, 1628]),
         # fold 3 fails first, then fold 1; fold 0's error is the row's
         (0, 31, 4, 4, dict(q=3, epochs=400, learning_rate=0.9),
          ["failed at 106", "failed at 102", "failed at 107", "failed at 98"],
-         "training loss became non-finite at epoch 106"),
+         "training loss became non-finite at epoch 106", [1, 98, 99, 106]),
     ],
     ids=["uneven-stops", "later-fold-fails-first"],
 )
-def test_mlp_folds_leave_the_stack_at_their_own_epoch(seed, n, p, k, params, stops, error):
+def test_mlp_folds_leave_the_stack_at_their_own_epoch(seed, n, p, k, params, stops, error,
+                                                      block_sizes):
     ds = _table(seed, n, p, 2 if n < 10 else 4)
     trains = _trains(ds, k, seed)
-    stacked = _stacked(fit_mlp_stacked, trains, seeds=[seed] * k, **params)
-    assert _stops(stacked) == stops
-    for train, result in zip(trains, stacked):
-        assert _bytes(result) == _outcome(lambda: _fit_mlp_2d(train, seed=seed, init_scale=0.5,
-                                                               **params))
+    expected = [_outcome(lambda: _fit_mlp_2d(train, seed=seed, init_scale=0.5, **params))
+                for train in trains]
+    for steps in block_sizes + [BLOCK_STEPS]:
+        with _block_steps(steps):
+            stacked = _stacked(fit_mlp_stacked, trains, seeds=[seed] * k, **params)
+        assert _stops(stacked) == stops
+        assert [_bytes(result) for result in stacked] == expected
     assert _row(ds, make_algorithm("ANN", **params), k, seed).error == error
 
 
@@ -444,10 +473,12 @@ def test_ragged_logistic_members_leave_at_their_own_iteration():
     tables = [_table(20 + i, n, 2, 2, scale)
               for i, (n, scale) in enumerate(zip((6, 40, 25, 9), (3.0, 1.0, 0.3, 10.0)))]
     params = dict(learning_rate=1e307, max_iter=300, tolerance=1e-3)
-    stacked = _stacked(fit_logistic_stacked, tables, **params)
-    assert _stops(stacked) == [4, 28, 300, "failed at 2"]
-    for table, result in zip(tables, stacked):
-        assert _bytes(result) == _outcome(lambda: _fit_logistic_2d(table, **params))
+    expected = [_outcome(lambda: _fit_logistic_2d(table, **params)) for table in tables]
+    for steps in (2, 3, 4, 5, 28, 29, BLOCK_STEPS):
+        with _block_steps(steps):
+            stacked = _stacked(fit_logistic_stacked, tables, **params)
+        assert _stops(stacked) == [4, 28, 300, "failed at 2"]
+        assert [_bytes(result) for result in stacked] == expected
 
 
 def test_ragged_mlp_members_leave_at_their_own_epoch_with_their_own_seed():
@@ -457,11 +488,13 @@ def test_ragged_mlp_members_leave_at_their_own_epoch_with_their_own_seed():
                                                   _table(5, 15, 2, 2, 0.5)]
     seeds = [0, 5, 0, 1, 2]
     params = dict(q=2, epochs=4000, learning_rate=0.3)
-    stacked = _stacked(fit_mlp_stacked, tables, seeds=seeds, **params)
-    assert _stops(stacked) == [599, 401, 4000, "failed at 121", "failed at 282"]
-    for table, seed, result in zip(tables, seeds, stacked):
-        assert _bytes(result) == _outcome(lambda: _fit_mlp_2d(table, seed=seed, init_scale=0.5,
-                                                               **params))
+    expected = [_outcome(lambda: _fit_mlp_2d(table, seed=seed, init_scale=0.5, **params))
+                for table, seed in zip(tables, seeds)]
+    for steps in (121, 122, 401, 402, BLOCK_STEPS):
+        with _block_steps(steps):
+            stacked = _stacked(fit_mlp_stacked, tables, seeds=seeds, **params)
+        assert _stops(stacked) == [599, 401, 4000, "failed at 121", "failed at 282"]
+        assert [_bytes(result) for result in stacked] == expected
 
 
 def _kernel_tables():
@@ -586,3 +619,188 @@ def test_default_bench_runs_one_loop_per_stacked_algorithm(tmp_path, monkeypatch
                             lambda *args, fn=fn, name=name, **kw: calls.append(name) or fn(*args, **kw))
     assert cli.entry(["bench", "--synthetic", "--out", str(tmp_path / "r.json")]) == 0
     assert sorted(calls) == ["fit_logistic_stacked", "fit_mlp_stacked"]
+
+
+# Blocks: the stacked loops take their steps in blocks and test for stops once
+# per block; the oracles below test every step before taking the next.
+
+def _per_step_logistic(datasets, learning_rate=0.1, max_iter=5000, tolerance=1e-8):
+    """`fit_logistic_stacked` one iteration at a time: each iteration's loss
+    is summed per member and tested on Python floats before the next step.
+    Expects valid settings and at least as many rows as classes."""
+    live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
+    features, labels, counts = stack_datasets([datasets[j] for j in live])
+    c, p = datasets[0].n_classes, features.shape[2]
+    inputs = _logistic_inputs(features, labels, counts, c)
+    results = [None] * len(datasets)
+    w = np.zeros((len(live), c, p + 1))
+    histories = [[] for _ in live]
+    prev = [math.inf] * len(live)
+    for it in range(max_iter + 1):
+        picks = np.empty(labels.shape)
+        grad = _logistic_step(w, inputs, picks)
+        losses = [-(float(np.log(picks[pos, :n] + 1e-300).sum()) / n)
+                  for pos, n in enumerate(counts)]
+        keep = []
+        for pos, loss in enumerate(losses):
+            if not math.isfinite(loss):
+                results[live[pos]] = ValueError(
+                    f"training loss became non-finite at iteration {it}")
+                continue
+            if it < max_iter:
+                histories[pos].append(loss)
+                if not 0.0 <= prev[pos] - loss < tolerance:
+                    keep.append(pos)
+                    continue
+            results[live[pos]] = LogisticModel(w[pos], it, loss, histories[pos])
+        if not keep:
+            break
+        live = [live[pos] for pos in keep]
+        histories = [histories[pos] for pos in keep]
+        losses = [losses[pos] for pos in keep]
+        counts = [counts[pos] for pos in keep]
+        w, grad, features, labels = w[keep], grad[keep], features[keep], labels[keep]
+        inputs = _logistic_inputs(features, labels, counts, c)
+        w = w - learning_rate * grad
+        prev = losses
+    return results
+
+
+def _per_step_mlp(datasets, seeds, q=5, epochs=2000, learning_rate=0.01, init_scale=0.5):
+    """`fit_mlp_stacked` one epoch at a time: each epoch's SSE is summed per
+    member and tested on Python floats before the next update. Expects valid
+    settings."""
+    live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
+    x, labels, counts = stack_datasets([datasets[j] for j in live])
+    (k, n, p), c = x.shape, datasets[0].n_classes
+    results = [None] * k
+    if min(p, q) == 1 and counts[-1] < n:  # one row count per stack, as fit_mlp_stacked
+        for size in dict.fromkeys(counts):
+            group = [j for j in live if datasets[j].n_samples == size]
+            fitted = _per_step_mlp([datasets[j] for j in group], [seeds[j] for j in group],
+                                   q, epochs, learning_rate, init_scale)
+            for j, result in zip(group, fitted):
+                results[j] = result
+        return results
+    starts = []
+    for j in live:
+        rng = np.random.default_rng(seeds[j])
+        starts.append([rng.uniform(-init_scale, init_scale, size=shape)
+                       for shape in ((p, q), (1, q), (q, c), (1, c))])
+    targets = np.zeros((k, n, c))
+    np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
+    if k == 1:
+        (w1, b1, w2, b2), x, targets = starts[0], x[0], targets[0]
+    else:
+        w1, b1, w2, b2 = (np.stack(arrs) for arrs in zip(*starts))
+    pad = padding(counts, n)[0]
+    prev = [math.inf] * k
+    traces = [[] for _ in live]
+    for epoch in range(epochs + 1):
+        hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
+        d_out -= targets
+        if pad is not None:
+            np.copyto(d_out, 0.0, where=pad)
+        rows = d_out.reshape(-1, n, c)
+        sses = [float((rows[pos, :m] ** 2).sum()) for pos, m in enumerate(counts)]
+        keep = []
+        for pos, sse in enumerate(sses):
+            if not math.isfinite(sse):
+                results[live[pos]] = ValueError(
+                    f"training loss became non-finite at epoch {epoch}")
+                continue
+            if epoch:
+                traces[pos].append(sse)
+            if epoch < epochs and not 0.0 <= prev[pos] - sse < 1e-10:
+                keep.append(pos)
+                continue
+            try:
+                model = MlpModel(input_to_hidden=w1.reshape(-1, p, q)[pos],
+                                 hidden_bias=b1.reshape(-1, q)[pos],
+                                 hidden_to_output=w2.reshape(-1, q, c)[pos],
+                                 output_bias=b2.reshape(-1, c)[pos])
+            except ValueError as exc:
+                results[live[pos]] = exc
+            else:
+                results[live[pos]] = model, TrainTrace(sse=tuple(traces[pos]))
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live = [live[pos] for pos in keep]
+            traces = [traces[pos] for pos in keep]
+            sses = [sses[pos] for pos in keep]
+            counts = [counts[pos] for pos in keep]
+            w1, b1, w2, b2, x, targets, hidden, d_out = (
+                arr[keep] for arr in (w1, b1, w2, b2, x, targets, hidden, d_out))
+            pad = padding(counts, n)[0]
+        prev = sses
+        grads = _backprop(x.swapaxes(-1, -2), hidden, d_out, w2.swapaxes(-1, -2))
+        w1, b1, w2, b2 = (w - learning_rate * g for w, g in zip((w1, b1, w2, b2), grads))
+    return results
+
+
+def _block_caps(steps):
+    """Step caps on either side of the first and second block edges."""
+    return [0, 1, steps - 1, steps, steps + 1, 2 * steps + 3]
+
+
+@PROPERTY
+@given(
+    _ragged_tables(),
+    st.sampled_from([1, 3, 4, BLOCK_STEPS]),
+    st.integers(0, 5),
+    st.sampled_from([0.1, 1.0, 1.5e308]),
+    st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+)
+def test_logistic_blocks_equal_the_per_step_loop(tables, steps, cap, learning_rate, tolerance):
+    tables = [t for t in tables if t.n_samples >= t.n_classes]
+    assume(tables)
+    params = dict(learning_rate=learning_rate, max_iter=_block_caps(steps)[cap],
+                  tolerance=tolerance)
+    with _block_steps(steps):
+        stacked = _stacked(fit_logistic_stacked, tables, **params)
+    with _quiet():
+        expected = _per_step_logistic(tables, **params)
+    assert [_bytes(r) for r in stacked] == [_bytes(r) for r in expected]
+
+
+@PROPERTY
+@given(
+    _ragged_tables(),
+    st.lists(st.integers(0, 3), min_size=5, max_size=5),
+    st.sampled_from([1, 3, 4, BLOCK_STEPS]),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.sampled_from([0.01, 0.3, 0.9, 30.0]),
+)
+def test_mlp_blocks_equal_the_per_step_loop(tables, seeds, steps, cap, q, learning_rate):
+    seeds = seeds[: len(tables)]
+    params = dict(q=q, epochs=_block_caps(steps)[cap], learning_rate=learning_rate)
+    with _block_steps(steps):
+        stacked = _stacked(fit_mlp_stacked, tables, seeds=seeds, **params)
+    with _quiet():
+        expected = _per_step_mlp(tables, seeds, **params)
+    assert [_bytes(r) for r in stacked] == [_bytes(r) for r in expected]
+
+
+@pytest.mark.parametrize("steps", [4, BLOCK_STEPS])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1],
+                         ids=["first-test", "block-end", "next-block-start", "next-block-second"])
+def test_logistic_settles_on_either_side_of_a_block_edge(steps, offset):
+    # with a step so small that each improvement is smaller than the last, a
+    # tolerance between two improvements settles the fit at a chosen
+    # iteration: 1 (the first with a settling test) or one around the end of
+    # the first block
+    table = _table(11, 30, 3, 3)
+    params = dict(learning_rate=0.05, max_iter=2 * steps + 3)
+    history = _per_step_logistic([table], tolerance=0.0, **params)[0].loss_history
+    gains = -np.diff(history)  # gains[i - 1] is iteration i's improvement
+    assert (np.diff(gains) < 0).all()
+    target = 1 if offset is None else steps + offset
+    params["tolerance"] = 1.0 if target == 1 else (gains[target - 1] + gains[target - 2]) / 2
+    with _block_steps(steps):
+        (result,) = _stacked(fit_logistic_stacked, [table], **params)
+    assert result.iterations == target
+    assert _bytes(result) == _bytes(_per_step_logistic([table], **params)[0])
+    assert _bytes(result) == _outcome(lambda: _fit_logistic_2d(table, **params))
+
