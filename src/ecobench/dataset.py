@@ -126,18 +126,25 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.feature_names, self.class_names)
 
 
-def stack_datasets(datasets) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(k, n, p) features and (k, n) labels of k datasets of one feature and
-    class count, the input of a model's stacked fit, and each dataset's row
-    count. A dataset shorter than the longest is padded with zero rows of
-    label 0; a stacked fit keeps them out of its sums (`padding`,
-    `own_row_sums`)."""
+def shared_shape(datasets) -> tuple[int, int]:
+    """The (features, classes) counts that all of `datasets` share; a
+    ValueError if they differ."""
     shape = (datasets[0].n_features, datasets[0].n_classes)
     if any((ds.n_features, ds.n_classes) != shape for ds in datasets):
         raise ValueError("stacked datasets must share their feature and class counts")
+    return shape
+
+
+def stack_datasets(datasets) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(k, n, p) features and (k, n) labels of k datasets of one feature and
+    class count (`shared_shape`), the input of a stacked fit, and each
+    dataset's row count. A dataset shorter than the longest is padded with
+    zero rows of label 0; a stacked fit keeps them out of its sums
+    (`padding`, `own_row_sums`)."""
+    p = shared_shape(datasets)[0]
     counts = [ds.n_samples for ds in datasets]
     n = max(counts)
-    features = np.zeros((len(datasets), n, shape[0]))
+    features = np.zeros((len(datasets), n, p))
     labels = np.zeros((len(datasets), n), dtype=np.int64)
     for i, ds in enumerate(datasets):
         features[i, : counts[i]] = ds.features
@@ -175,7 +182,7 @@ def own_row_sums(values: np.ndarray, groups) -> np.ndarray:
                            for start, stop, n in groups], axis=1)
 
 
-# gradient steps a stacked fit takes between two stop tests (`first_stops`)
+# gradient steps `descend_stacked` takes between two stop tests (`first_stops`)
 BLOCK_STEPS = 32
 
 
@@ -191,6 +198,72 @@ def first_stops(losses: np.ndarray, prev: np.ndarray, tolerance: float, capped: 
     stop = ~np.isfinite(losses) | ((0.0 <= gain) & (gain < tolerance))
     stop[-1] |= capped
     return np.where(stop.any(axis=0), stop.argmax(axis=0), len(losses)).tolist()
+
+
+# a diverging fit's overflow ends it as a non-finite loss, without a warning
+@np.errstate(over="ignore", invalid="ignore")
+def descend_stacked(datasets, starts, prepare, step, score, learning_rate: float,
+                    max_steps: int, tolerance: float):
+    """Full-batch gradient descent on each of several datasets of one feature
+    and class count, of any row counts, in one loop: the fit of logistic
+    regression and of the network. Returns, per dataset in order, its losses
+    at steps 0 to its stop and its weights at that step, a tuple of arrays
+    like its `starts` entry.
+
+    The datasets are stacked longest first (`stack_datasets`), and so are
+    their start weights. `prepare(features, labels, counts)` gives the
+    stack's weight-independent inputs and the shape of one step's loss terms.
+    Step i calls `step(weights, inputs, terms)`, which writes the loss terms
+    of the weights into `terms` and returns their gradients; each weight
+    array then takes w - learning_rate * gradient. Steps run in blocks of
+    `BLOCK_STEPS`, into buffers allocated once per block. At a block's end
+    `score(terms, inputs)` turns the (s, k, ...) terms of its s steps into
+    (s, k) losses, and `first_stops` finds where each member stops: at a
+    non-finite loss, a settled one (a nonnegative improvement below
+    `tolerance`) or step `max_steps`. A stopped member leaves the stack, and
+    the steps it took after its stop are thrown away. The rest go on in a
+    stack trimmed to their longest; a member alone goes on in its own 2-D
+    rows and weights, whose products cost less per call. No member's steps
+    change another's bits.
+    """
+    live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
+    features, labels, counts = stack_datasets([datasets[j] for j in live])
+    weights = [np.stack(arrs) for arrs in zip(*(starts[j] for j in live))]
+    histories = [[] for _ in live]
+    prev = np.full(len(live), math.inf)  # no settling test before the first step
+    results = [None] * len(datasets)
+    keep, start = list(range(len(live))), 0
+    while keep:
+        if start == 0 or len(keep) < len(live):
+            index, n = (keep if len(keep) > 1 else keep[0]), counts[keep[0]]
+            features, labels = features[index, :n], labels[index, :n]
+            weights = [w[index] for w in weights]
+            live, histories, counts = ([seq[pos] for pos in keep]
+                                       for seq in (live, histories, counts))
+            prev = prev[keep]
+            inputs, shape = prepare(features, labels, counts)
+        steps = min(BLOCK_STEPS, max_steps + 1 - start)
+        blocks = [np.empty((steps + 1,) + w.shape) for w in weights]
+        for block, w in zip(blocks, weights):
+            block[0] = w
+        terms = np.empty((steps,) + shape)
+        rows = list(zip(*blocks))
+        for ws, nexts, term in zip(rows, rows[1:], terms):
+            for w, nxt, grad in zip(ws, nexts, step(ws, inputs, term)):
+                grad *= learning_rate
+                np.subtract(w, grad, out=nxt)
+        losses = score(terms if len(live) > 1 else terms[:, None], inputs)
+        stops = first_stops(losses, prev, tolerance, start + steps > max_steps)
+        keep = []
+        for pos, (j, history) in enumerate(zip(stops, losses.T.tolist())):
+            histories[pos] += history[: j + 1]
+            if j == steps:
+                keep.append(pos)
+            else:
+                results[live[pos]] = histories[pos], tuple(
+                    (block[j, pos] if len(live) > 1 else block[j]).copy() for block in blocks)
+        weights, prev, start = [block[-1] for block in blocks], losses[-1], start + steps
+    return results
 
 
 @dataclass(frozen=True)

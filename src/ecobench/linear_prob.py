@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (
-    BLOCK_STEPS,
     Dataset,
     as_rows,
-    first_stops,
+    descend_stacked,
     freeze_arrays,
     own_row_sums,
     padding,
-    stack_datasets,
     top_class,
 )
 
@@ -241,12 +239,13 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _logistic_step(w, inputs, picks):
-    """The array work of one descent step at the stacked weights `w`, from
-    the `_logistic_inputs` of the stack: writes each row's true-class
-    probability into the (k, n) `picks` and returns the stacked gradient; the
-    pinned last rows' gradient is 0. A padding row adds exact zeros."""
+    """The array work of one descent step at the weights `w`, (k, c, p+1)
+    for a stack or (c, p+1) for one train, from the `_logistic_inputs` of the
+    same layout: writes each row's true-class probability into `picks`,
+    shaped like the labels, and returns the gradient; the pinned last rows'
+    gradient is 0. A padding row adds exact zeros."""
     design, onehot, picked, divisor, pad, _ = inputs
-    probs = _softmax_rows(design @ w.transpose(0, 2, 1))
+    probs = _softmax_rows(design @ w.swapaxes(-1, -2))
     probs.take(picked, out=picks, mode="clip")
     probs -= onehot
     if pad is not None:
@@ -257,9 +256,9 @@ def _logistic_step(w, inputs, picks):
     # so numpy runs this as a BLAS matrix product, which adds each entry's
     # terms in row order: trailing zero rows change no bit (fit_mlp_stacked
     # has the one-wide case)
-    grad = probs.transpose(0, 2, 1) @ design
+    grad = probs.swapaxes(-1, -2) @ design
     grad /= divisor
-    grad[:, -1] = 0.0
+    grad[..., -1, :] = 0.0
     return grad
 
 
@@ -269,44 +268,43 @@ def _logistic_losses(picks, inputs):
     probabilities `_logistic_step` writes."""
     divisor, groups = inputs[3], inputs[5]
     # a row sum over n then one division is bit for bit `np.mean` of that row
-    return -(own_row_sums(np.log(picks + 1e-300), groups) / divisor[:, 0, 0])
+    return -(own_row_sums(np.log(picks + 1e-300), groups) / divisor.reshape(-1))
 
 
 def _logistic_kernel(w, *inputs):
-    """Mean cross-entropy of each stacked train (a (k,) array) and the
-    stacked gradient at the weights `w`: one `_logistic_step`, scored."""
+    """Mean cross-entropy of each train (a (k,) array, (1,) for one train)
+    and the gradient at the weights `w`: one `_logistic_step`, scored."""
     picks = np.empty(inputs[2].shape)
     grad = _logistic_step(w, inputs, picks)
-    return _logistic_losses(picks[None], inputs)[0], grad
+    return _logistic_losses(picks.reshape(1, -1, picks.shape[-1]), inputs)[0], grad
 
 
 def _logistic_inputs(features, labels, counts, n_classes):
     """The weight-independent inputs of `_logistic_step` for a stack of
     (k, n, p) features and (k, n) labels whose members have `counts` rows,
-    sorted longest first: the `[1 | X]` designs (padding rows all zero), the
-    one-hot labels, the flat index of each row's true-class probability, the
-    row counts as a (k, 1, 1) divisor, and the padding rows' mask and
+    sorted longest first, or for one train's (n, p) features and (n,)
+    labels: the `[1 | X]` designs (padding rows all zero), the one-hot
+    labels, the flat index of each row's true-class probability, the row
+    counts as a (k, 1, 1) or (1, 1) divisor, and the padding rows' mask and
     row-count runs of `dataset.padding`. Built once per stack."""
-    k, n = labels.shape
-    pad, groups = padding(counts, n)
-    design = np.concatenate([np.ones((k, n, 1)), features], axis=2)
+    pad, groups = padding(counts, labels.shape[-1])
+    design = np.concatenate([np.ones(labels.shape + (1,)), features], axis=-1)
     if pad is not None:
         np.copyto(design, 0.0, where=pad)
-    picked = (np.arange(k)[:, None] * n + np.arange(n)) * n_classes + labels
-    onehot = np.zeros((k, n, n_classes))
+    picked = np.arange(labels.size).reshape(labels.shape) * n_classes + labels
+    onehot = np.zeros(labels.shape + (n_classes,))
     np.put(onehot, picked, 1.0)
-    divisor = np.array(counts, dtype=np.float64)[:, None, None]
+    divisor = np.array(counts, dtype=np.float64).reshape(labels.shape[:-1] + (1, 1))
     return design, onehot, picked, divisor, pad, groups
 
 
 def logistic_loss_and_gradient(weights, features, labels):
     """Mean cross-entropy and its gradient; the pinned last row's gradient is 0."""
     w = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    inputs = _logistic_inputs(x[None], y[None], [y.size], w.shape[0])
-    (loss,), grad = _logistic_kernel(w[None], *inputs)
-    return float(loss), grad[0]
+    inputs = _logistic_inputs(np.asarray(features, dtype=np.float64), y, [y.size], w.shape[0])
+    (loss,), grad = _logistic_kernel(w, *inputs)
+    return float(loss), grad
 
 
 def fit_logistic(
@@ -326,8 +324,6 @@ def fit_logistic(
     return result
 
 
-# a diverging fit's overflow ends it as the typed non-finite-loss error, without a warning
-@np.errstate(over="ignore", invalid="ignore")
 def fit_logistic_stacked(
     datasets,
     learning_rate: float = 0.1,
@@ -335,19 +331,9 @@ def fit_logistic_stacked(
     tolerance: float = 1e-8,
 ) -> tuple[LogisticModel | ValueError, ...]:
     """`fit_logistic` on each of several datasets of one feature and class
-    count, of any row counts, in one loop.
-
-    The designs are stacked as one (k, n, p+1) array, the shorter ones padded
-    with zero rows, so each iteration is a few batched products for all of
-    them. The loop runs in blocks of `dataset.BLOCK_STEPS` iterations: an
-    iteration only writes its weights and true-class probabilities into
-    buffers allocated once per block, and the losses, histories and stop
-    tests of the whole block follow at its end (`dataset.first_stops`). A
-    dataset leaves the stack at the end of the block in which its own loss
-    settles or turns non-finite; the iterations it took after that are
-    thrown away, and its model is bit for bit the one `fit_logistic` gives it
-    alone. Returns, per dataset in order, its model or the ValueError its own
-    fit raises.
+    count, of any row counts, in one `dataset.descend_stacked` loop, with
+    each model bit for bit the one `fit_logistic` gives it alone. Returns,
+    per dataset in order, its model or the ValueError its own fit raises.
     """
     results = []
     for ds in datasets:
@@ -362,49 +348,21 @@ def fit_logistic_stacked(
     live = [j for j, result in enumerate(results) if result is None]
     if not live:
         return tuple(results)
-    # longest first, so that the members of one row count are one slice of the stack
-    live.sort(key=lambda j: -datasets[j].n_samples)
-    features, labels, counts = stack_datasets([datasets[j] for j in live])
-    c, (n, p) = datasets[live[0]].n_classes, features.shape[1:]
-    inputs = _logistic_inputs(features, labels, counts, c)
-    w = np.zeros((len(live), c, p + 1))
-    histories = [[] for _ in live]
-    prev = np.full(len(live), math.inf)  # no settling test before the first step
-    start = 0
-    while True:
-        steps = min(BLOCK_STEPS, max_iter + 1 - start)
-        ws = np.empty((steps + 1,) + w.shape)
-        ws[0] = w
-        picks = np.empty((steps, len(live), n))
-        for i in range(steps):
-            grad = _logistic_step(ws[i], inputs, picks[i])
-            grad *= learning_rate
-            np.subtract(ws[i], grad, out=ws[i + 1])
-        losses = _logistic_losses(picks, inputs)
-        stops = first_stops(losses, prev, tolerance, start + steps > max_iter)
-        keep = []
-        for pos, (j, history) in enumerate(zip(stops, losses.T.tolist())):
-            it = start + j
-            if j == steps:
-                histories[pos] += history
-                keep.append(pos)
-            elif not math.isfinite(history[j]):
-                results[live[pos]] = ValueError(
-                    f"training loss became non-finite at iteration {it}")
-            else:
-                # the capped iteration's loss is the final loss, not history
-                histories[pos] += history[: j + (it < max_iter)]
-                results[live[pos]] = LogisticModel(ws[j, pos].copy(), it, history[j],
-                                                   histories[pos])
-        if not keep:
-            return tuple(results)
-        w, prev, start = ws[-1], losses[-1], start + steps
-        if len(keep) < len(live):
-            live = [live[pos] for pos in keep]
-            histories = [histories[pos] for pos in keep]
-            counts = [counts[pos] for pos in keep]
-            w, prev, features, labels = w[keep], prev[keep], features[keep], labels[keep]
-            inputs = _logistic_inputs(features, labels, counts, c)
+    c, p = datasets[live[0]].n_classes, datasets[live[0]].n_features
+    fits = descend_stacked(
+        [datasets[j] for j in live], [(np.zeros((c, p + 1)),)] * len(live),
+        lambda features, labels, counts: (
+            _logistic_inputs(features, labels, counts, c), labels.shape),
+        lambda weights, inputs, picks: (_logistic_step(weights[0], inputs, picks),),
+        _logistic_losses, learning_rate, max_iter, tolerance)
+    for j, (losses, (w,)) in zip(live, fits):
+        it = len(losses) - 1
+        if not math.isfinite(losses[-1]):
+            results[j] = ValueError(f"training loss became non-finite at iteration {it}")
+        else:
+            # the capped iteration's loss is the final loss, not history
+            results[j] = LogisticModel(w, it, losses[-1], losses[: it + (it < max_iter)])
+    return tuple(results)
 
 
 # a score past the float range is a ValueError below; one that only pushes a

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (
-    BLOCK_STEPS,
     Dataset,
     as_rows,
-    first_stops,
+    descend_stacked,
     freeze_arrays,
     own_row_sums,
     padding,
-    stack_datasets,
+    shared_shape,
     top_class,
 )
 
@@ -150,8 +149,29 @@ def fit_mlp(
     return result
 
 
-# a diverging fit's overflow ends it as the typed non-finite-loss error, without a warning
-@np.errstate(over="ignore", invalid="ignore")
+def _mlp_inputs(x, labels, counts, n_classes):
+    """The weight-independent inputs of `_mlp_step` for stacked or one
+    train's rows and labels: the rows, their transpose, the one-hot targets
+    and `dataset.padding`; and the shape of the squared output errors."""
+    targets = np.zeros(labels.shape + (n_classes,))
+    np.put_along_axis(targets, labels[..., None], 1.0, axis=-1)
+    pad, groups = padding(counts, labels.shape[-1])
+    return (x, x.swapaxes(-1, -2), targets, pad, groups), targets.shape
+
+
+def _mlp_step(weights, inputs, squares):
+    """One epoch's array work: one forward pass scores the weights, writing
+    their squared output errors into `squares`, and feeds their gradients."""
+    x, xt, targets, pad, _ = inputs
+    w1, b1, w2, b2 = weights
+    hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
+    d_out -= targets
+    if pad is not None:
+        np.copyto(d_out, 0.0, where=pad)
+    np.square(d_out, out=squares)
+    return _backprop(xt, hidden, d_out, w2.swapaxes(-1, -2))
+
+
 def fit_mlp_stacked(
     datasets,
     seeds,
@@ -161,112 +181,54 @@ def fit_mlp_stacked(
     init_scale: float = 0.5,
 ) -> tuple[tuple[MlpModel, TrainTrace] | ValueError, ...]:
     """`fit_mlp` on each of several datasets of one feature and class count,
-    of any row counts, in one loop; `seeds` holds each one's seed.
-
-    Every network starts from the weights its own seed draws. The datasets
-    are stacked as (k, n, p) arrays, the shorter ones padded with zero rows,
-    so each epoch is a few batched products for all of them. The loop runs
-    in blocks of `dataset.BLOCK_STEPS` epochs: an epoch only writes its
-    weights and squared output errors into buffers allocated once per block,
-    and the SSEs, traces and stop tests of the whole block follow at its end
-    (`dataset.first_stops`). A network leaves the stack at the end of the
-    block in which its own SSE settles or turns non-finite; the epochs it
-    took after that are thrown away, and its weights and trace are bit for
-    bit the ones `fit_mlp` gives it alone. Returns, per dataset in order, its
-    (model, trace) or the ValueError its own fit raises.
+    of any row counts, in one `dataset.descend_stacked` loop; `seeds` holds
+    each one's seed. Every network starts from the weights its own seed
+    draws, and its weights and trace are bit for bit the ones `fit_mlp`
+    gives it alone. Returns, per dataset in order, its (model, trace) or the
+    ValueError its own fit raises.
     """
     if q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
         return tuple(ValueError("q must be >= 1; epochs, learning_rate, init_scale nonnegative")
                      for _ in datasets)
-    # longest first, so that the members of one row count are one slice of the stack
-    live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
-    x, labels, counts = stack_datasets([datasets[j] for j in live])
-    (k, n, p), c = x.shape, datasets[0].n_classes
-    if min(p, q) == 1 and counts[-1] < n:
+    p, c = shared_shape(datasets)
+    counts = [ds.n_samples for ds in datasets]
+    if min(p, q) == 1 and len(set(counts)) > 1:
         # with one input or one hidden unit a gradient product has a side one
         # wide, which numpy hands to BLAS gemv, and a bias sum is over a single
         # column, which numpy adds pairwise: neither adds padding zeros
         # exactly, so such stacks hold one row count each
-        results = [None] * k
+        results = [None] * len(datasets)
         for size in dict.fromkeys(counts):
-            group = [j for j in live if datasets[j].n_samples == size]
+            group = [j for j, n in enumerate(counts) if n == size]
             fitted = fit_mlp_stacked([datasets[j] for j in group], [seeds[j] for j in group],
                                      q, epochs, learning_rate, init_scale)
             for j, result in zip(group, fitted):
                 results[j] = result
         return tuple(results)
-    results = [None] * k
     starts = {}
-    for seed in dict.fromkeys(seeds[j] for j in live):
+    for seed in dict.fromkeys(seeds):
         rng = np.random.default_rng(seed)
-        starts[seed] = (
-            rng.uniform(-init_scale, init_scale, size=(p, q)),
-            rng.uniform(-init_scale, init_scale, size=(1, q)),
-            rng.uniform(-init_scale, init_scale, size=(q, c)),
-            rng.uniform(-init_scale, init_scale, size=(1, c)),
-        )
-    targets = np.zeros((k, n, c))
-    np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
-    if k == 1:  # one network trains on 2-D arrays, whose products cost less per call
-        weights, x, targets = starts[seeds[0]], x[0], targets[0]
-    else:
-        weights = [np.stack(arrs) for arrs in zip(*(starts[seeds[j]] for j in live))]
-    xt = x.swapaxes(-1, -2)
-    pad, groups = padding(counts, n)
-    prev = np.full(k, math.inf)  # no improvement test before the first update
-    traces = [[] for _ in live]
-    start = 0
-    while True:
-        steps = min(BLOCK_STEPS, epochs + 1 - start)
-        blocks = [np.empty((steps + 1,) + w.shape) for w in weights]
-        for block, w in zip(blocks, weights):
-            block[0] = w
-        squares = np.empty((steps,) + targets.shape)
-        for i in range(steps):
-            # one forward pass scores the last update and feeds the next
-            w1, b1, w2, b2 = (block[i] for block in blocks)
-            hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
-            d_out -= targets
-            if pad is not None:
-                np.copyto(d_out, 0.0, where=pad)
-            np.square(d_out, out=squares[i])
-            for block, grad in zip(blocks, _backprop(xt, hidden, d_out, w2.swapaxes(-1, -2))):
-                grad *= learning_rate
-                np.subtract(block[i], grad, out=block[i + 1])
-        sses = own_row_sums(squares.reshape(steps, -1, n, c), groups)
-        stops = first_stops(sses, prev, 1e-10, start + steps > epochs)
-        keep = []
-        # epoch 0 scores the start weights, which no trace holds
-        for pos, (j, trace) in enumerate(zip(stops, sses[start == 0:].T.tolist())):
-            if j == steps:
-                traces[pos] += trace
-                keep.append(pos)
-                continue
-            if not math.isfinite(sses[j, pos]):
-                results[live[pos]] = ValueError(
-                    f"training loss became non-finite at epoch {start + j}")
-                continue
-            traces[pos] += trace[: j + (start > 0)]
-            w1, b1, w2, b2 = (block[j].reshape((-1,) + block.shape[-2:])[pos].copy()
-                              for block in blocks)
-            try:
-                model = MlpModel(input_to_hidden=w1, hidden_bias=b1[0],
-                                 hidden_to_output=w2, output_bias=b2[0])
-            except ValueError as exc:
-                results[live[pos]] = exc
-            else:
-                results[live[pos]] = model, TrainTrace(sse=tuple(traces[pos]))
-        if not keep:
-            return tuple(results)
-        weights, prev, start = [block[-1] for block in blocks], sses[-1], start + steps
-        if len(keep) < len(live):
-            live = [live[pos] for pos in keep]
-            traces = [traces[pos] for pos in keep]
-            counts = [counts[pos] for pos in keep]
-            weights, prev, x, targets = ([w[keep] for w in weights], prev[keep], x[keep],
-                                         targets[keep])
-            xt = x.swapaxes(-1, -2)
-            pad, groups = padding(counts, n)
+        starts[seed] = tuple(rng.uniform(-init_scale, init_scale, size=shape)
+                             for shape in ((p, q), (1, q), (q, c), (1, c)))
+    results = []
+    for sses, (w1, b1, w2, b2) in descend_stacked(
+            datasets, [starts[seed] for seed in seeds],
+            lambda x, labels, counts: _mlp_inputs(x, labels, counts, c), _mlp_step,
+            lambda squares, inputs: own_row_sums(squares, inputs[-1]),
+            learning_rate, epochs, 1e-10):
+        if not math.isfinite(sses[-1]):
+            results.append(ValueError(
+                f"training loss became non-finite at epoch {len(sses) - 1}"))
+            continue
+        try:
+            model = MlpModel(input_to_hidden=w1, hidden_bias=b1[0],
+                             hidden_to_output=w2, output_bias=b2[0])
+        except ValueError as exc:
+            results.append(exc)
+        else:
+            # epoch 0 scores the start weights, which no trace holds
+            results.append((model, TrainTrace(sse=tuple(sses[1:]))))
+    return tuple(results)
 
 
 def predict_mlp(model: MlpModel, x):

@@ -42,7 +42,7 @@ from ecobench import (
     standardize,
     train_test_split,
 )
-from ecobench import cli, evaluation, linear_prob, neural
+from ecobench import cli, dataset, evaluation
 from ecobench.dataset import BLOCK_STEPS, padding, stack_datasets
 from ecobench.evaluation import CELL_ERRORS, AlgorithmAdapter, algorithm_adapter
 from ecobench.linear_prob import (
@@ -85,12 +85,12 @@ def _quiet():
 @contextlib.contextmanager
 def _block_steps(steps):
     """Run the stacked fits in blocks of `steps` gradient steps."""
-    saved = linear_prob.BLOCK_STEPS, neural.BLOCK_STEPS
-    linear_prob.BLOCK_STEPS = neural.BLOCK_STEPS = steps
+    saved = dataset.BLOCK_STEPS
+    dataset.BLOCK_STEPS = steps
     try:
         yield
     finally:
-        linear_prob.BLOCK_STEPS, neural.BLOCK_STEPS = saved
+        dataset.BLOCK_STEPS = saved
 
 
 def _outcome(call):
