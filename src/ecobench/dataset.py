@@ -211,57 +211,49 @@ def descend_stacked(datasets, starts, prepare, step, score, learning_rate: float
     like its `starts` entry.
 
     The datasets are stacked longest first (`stack_datasets`), and so are
-    their start weights. `prepare(features, labels, counts)` gives the
-    stack's weight-independent inputs and the shape of one step's loss terms.
-    Step i calls `step(weights, inputs, terms)`, which writes the loss terms
-    of the weights into `terms` and returns their gradients; each weight
-    array then takes w - learning_rate * gradient. Steps run in blocks of
-    `BLOCK_STEPS`, into buffers allocated once per block. At a block's end
-    `score(terms, inputs)` turns the (s, k, ...) terms of its s steps into
-    (s, k) losses, and `first_stops` finds where each member stops: at a
-    non-finite loss, a settled one (a nonnegative improvement below
-    `tolerance`) or step `max_steps`. A stopped member leaves the stack, and
-    the steps it took after its stop are thrown away. The rest go on in a
-    stack trimmed to their longest; a member alone goes on in its own 2-D
-    rows and weights, whose products cost less per call. No member's steps
-    change another's bits.
+    their start weights; a stack of one is its dataset's own 2-D rows and
+    weights, whose products cost less per call. `prepare(features, labels,
+    counts)` gives the stack's weight-independent inputs, once per call, and
+    the trailing shape of one row's loss terms. Step i calls `step(weights,
+    inputs, terms)`, which writes the loss terms of the weights into `terms`
+    and returns their gradients; each weight array then takes
+    w - learning_rate * gradient. Steps run in blocks of `BLOCK_STEPS`, into
+    buffers allocated once per block. At a block's end `score(terms, inputs)`
+    turns the (s, k, n, ...) terms of its s steps into (s, k) losses, and
+    `first_stops` finds where each member stops: at a non-finite loss, a
+    settled one (a nonnegative improvement below `tolerance`) or step
+    `max_steps`. A member that stops keeps its place in the stack, and the
+    steps it takes after its stop are thrown away; the loop ends once every
+    member has stopped. No member's steps change another's bits.
     """
-    live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
-    features, labels, counts = stack_datasets([datasets[j] for j in live])
-    weights = [np.stack(arrs) for arrs in zip(*(starts[j] for j in live))]
-    histories = [[] for _ in live]
-    prev = np.full(len(live), math.inf)  # no settling test before the first step
+    order = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
+    features, labels, counts = stack_datasets([datasets[j] for j in order])
+    weights = [np.stack(arrs) for arrs in zip(*(starts[j] for j in order))]
+    own = 0 if len(order) == 1 else slice(None)  # a lone fit steps on 2-D views
+    inputs, tail = prepare(features[own], labels[own], counts)
+    histories = [[] for _ in order]
+    prev = np.full(len(order), math.inf)  # no settling test before the first step
     results = [None] * len(datasets)
-    keep, start = list(range(len(live))), 0
-    while keep:
-        if start == 0 or len(keep) < len(live):
-            index, n = (keep if len(keep) > 1 else keep[0]), counts[keep[0]]
-            features, labels = features[index, :n], labels[index, :n]
-            weights = [w[index] for w in weights]
-            live, histories, counts = ([seq[pos] for pos in keep]
-                                       for seq in (live, histories, counts))
-            prev = prev[keep]
-            inputs, shape = prepare(features, labels, counts)
+    running, start = list(range(len(order))), 0
+    while running:
         steps = min(BLOCK_STEPS, max_steps + 1 - start)
         blocks = [np.empty((steps + 1,) + w.shape) for w in weights]
         for block, w in zip(blocks, weights):
             block[0] = w
-        terms = np.empty((steps,) + shape)
-        rows = list(zip(*blocks))
-        for ws, nexts, term in zip(rows, rows[1:], terms):
+        terms = np.empty((steps,) + labels.shape + tail)
+        rows = list(zip(*(block[:, own] for block in blocks)))
+        for ws, nexts, term in zip(rows, rows[1:], terms[:, own]):
             for w, nxt, grad in zip(ws, nexts, step(ws, inputs, term)):
                 grad *= learning_rate
                 np.subtract(w, grad, out=nxt)
-        losses = score(terms if len(live) > 1 else terms[:, None], inputs)
+        losses = score(terms, inputs)
         stops = first_stops(losses, prev, tolerance, start + steps > max_steps)
-        keep = []
-        for pos, (j, history) in enumerate(zip(stops, losses.T.tolist())):
-            histories[pos] += history[: j + 1]
-            if j == steps:
-                keep.append(pos)
-            else:
-                results[live[pos]] = histories[pos], tuple(
-                    (block[j, pos] if len(live) > 1 else block[j]).copy() for block in blocks)
+        for pos in running:
+            histories[pos] += losses[: stops[pos] + 1, pos].tolist()
+            if stops[pos] < steps:
+                results[order[pos]] = histories[pos], tuple(
+                    block[stops[pos], pos].copy() for block in blocks)
+        running = [pos for pos in running if stops[pos] == steps]
         weights, prev, start = [block[-1] for block in blocks], losses[-1], start + steps
     return results
 

@@ -166,12 +166,11 @@ class AlgorithmAdapter:
     def fit_folds(self, trains, seeds, params: dict):
         """Per training set, in order, the model `fit` gives it with its seed
         from `seeds` or the error it raises. A stacked fit takes every train,
-        of any row count, in one call when the first result is asked for;
-        otherwise each train is fit only when its result is asked for, so a
-        caller that scores each train's model before asking for the next never
-        holds every model (a forest each, for RF) at once. A lone train is fit
-        with `fit`."""
-        if self.fit_stacked is None or len(trains) == 1:
+        of any row count and however many, in one call when the first result
+        is asked for; otherwise each train is fit only when its result is
+        asked for, so a caller that scores each train's model before asking
+        for the next never holds every model (a forest each, for RF) at once."""
+        if self.fit_stacked is None:
             for train, seed in zip(trains, seeds):
                 try:
                     yield self.fit(train, seed, params)

@@ -351,8 +351,7 @@ def fit_logistic_stacked(
     c, p = datasets[live[0]].n_classes, datasets[live[0]].n_features
     fits = descend_stacked(
         [datasets[j] for j in live], [(np.zeros((c, p + 1)),)] * len(live),
-        lambda features, labels, counts: (
-            _logistic_inputs(features, labels, counts, c), labels.shape),
+        lambda features, labels, counts: (_logistic_inputs(features, labels, counts, c), ()),
         lambda weights, inputs, picks: (_logistic_step(weights[0], inputs, picks),),
         _logistic_losses, learning_rate, max_iter, tolerance)
     for j, (losses, (w,)) in zip(live, fits):

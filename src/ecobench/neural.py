@@ -152,11 +152,11 @@ def fit_mlp(
 def _mlp_inputs(x, labels, counts, n_classes):
     """The weight-independent inputs of `_mlp_step` for stacked or one
     train's rows and labels: the rows, their transpose, the one-hot targets
-    and `dataset.padding`; and the shape of the squared output errors."""
+    and `dataset.padding`; and the shape of one row's squared output errors."""
     targets = np.zeros(labels.shape + (n_classes,))
     np.put_along_axis(targets, labels[..., None], 1.0, axis=-1)
     pad, groups = padding(counts, labels.shape[-1])
-    return (x, x.swapaxes(-1, -2), targets, pad, groups), targets.shape
+    return (x, x.swapaxes(-1, -2), targets, pad, groups), (n_classes,)
 
 
 def _mlp_step(weights, inputs, squares):
@@ -192,8 +192,8 @@ def fit_mlp_stacked(
                      for _ in datasets)
     p, c = shared_shape(datasets)
     counts = [ds.n_samples for ds in datasets]
-    if min(p, q) == 1 and len(set(counts)) > 1:
-        # with one input or one hidden unit a gradient product has a side one
+    if min(p, q, *counts) == 1 and len(set(counts)) > 1:
+        # with one input, one hidden unit or one row a product has a side one
         # wide, which numpy hands to BLAS gemv, and a bias sum is over a single
         # column, which numpy adds pairwise: neither adds padding zeros
         # exactly, so such stacks hold one row count each

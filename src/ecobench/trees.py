@@ -333,9 +333,8 @@ def _best_splits(columns, labels, totals, criterion):
     return decreases[at, f, i], f, threshold, i + 1, left[at, f, i], order[at, f]
 
 
-# Raw 64-bit outputs each tree's stream buffers past its bootstrap; a tree
-# that has read them all reads as many more from its generator. On 30 rows a
-# default forest's trees rarely need a second block.
+# Raw 64-bit outputs each tree's stream buffers at a time; a tree that has
+# read them all reads as many more from its generator.
 STREAM_BLOCK_RAWS = 32
 _LOW_WORD = 0xFFFFFFFF
 
@@ -362,25 +361,11 @@ class _TreeStreams:
         self.word = np.full(len(children), 2 * STREAM_BLOCK_RAWS)
 
     def bootstrap(self, n):
-        """Each tree's `integers(0, n, size=n)` as a (trees, n) array; this
-        must be the first read of every stream. The bound is fixed, so a
-        rejected word only moves its tree's later draws one word on."""
-        used = n if n > 1 else 0  # the words that n draws read unless one is rejected
-        raws = np.array([g.random_raw(used // 2 + STREAM_BLOCK_RAWS) for g in self.generators])
-        self.raws = raws[:, used // 2:].copy()
-        self.word[:] = used & 1
-        head = raws[:, :(used + 1) // 2]
-        scaled = np.stack((head & _LOW_WORD, head >> 32), axis=-1).reshape(raws.shape[0], -1)
-        scaled = scaled[:, :used]
-        scaled *= np.uint64(n)
-        rejected = (scaled & _LOW_WORD) < (2**32 - n) % n
-        scaled >>= 32
-        samples = np.zeros((raws.shape[0], n), dtype=np.int64)
-        samples[:, :used] = scaled
-        for t in np.flatnonzero(rejected.any(axis=1)).tolist():
-            kept = samples[t, :used][~rejected[t]]
-            samples[t] = kept.tolist() + [self._draw(t, n) for _ in range(n - kept.size)]
-        return samples
+        """Each tree's `integers(0, n, size=n)` as a (trees, n) array."""
+        trees = np.arange(len(self.generators))
+        if n < 2:
+            return np.zeros((trees.size, n), dtype=np.int64)
+        return self._draws(trees, np.full(n, n))
 
     def subsets(self, trees, p, m):
         """The next `np.sort(choice(p, m, replace=False))` of each of `trees`,

@@ -42,7 +42,7 @@ from ecobench import (
     standardize,
     train_test_split,
 )
-from ecobench import cli, dataset, evaluation
+from ecobench import cli, dataset, evaluation, linear_prob, neural
 from ecobench.dataset import BLOCK_STEPS, padding, stack_datasets
 from ecobench.evaluation import CELL_ERRORS, AlgorithmAdapter, algorithm_adapter
 from ecobench.linear_prob import (
@@ -385,6 +385,10 @@ def test_fold_fits_run_when_their_results_are_asked_for():
     assert next(results) == 23
     assert [(len(group), seeds) for group, seeds in calls] == [(4, (7, 8, 9, 10))]
     assert list(results) == [23, 23, 24]
+    # a lone train takes the stacked fit too
+    calls.clear()
+    assert list(stacked.fit_folds(trains[3:], [10], {})) == [24]
+    assert [(len(group), seeds) for group, seeds in calls] == [(1, (10,))]
 
 
 # Ragged stacks: the training sets of every process, of any row counts, in one
@@ -424,10 +428,10 @@ def test_grid_trains_of_every_process_fit_in_one_stack(n_per_class, folds, sizes
 
 @st.composite
 def _ragged_tables(draw):
-    """Tables of one feature and class count and of any row counts from 2 to
+    """Tables of one feature and class count and of any row counts from 1 to
     40, each drawn from its own seed."""
     p, c = draw(st.integers(1, 4)), draw(st.integers(2, 3))
-    counts = draw(st.lists(st.integers(2, 40), min_size=1, max_size=5))
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(counts),
                           max_size=len(counts)))
     return [_table(seed, n, p, c) for seed, n in zip(seeds, counts)]
@@ -466,13 +470,27 @@ def test_ragged_mlp_stack_equals_lone_fits(tables, seeds, q, epochs, learning_ra
         assert _bytes(result) == _outcome(lambda: _fit_mlp_2d(table, seed=seed, **params))
 
 
-def test_ragged_logistic_members_leave_at_their_own_iteration():
-    # tables of 6, 40, 25 and 9 rows at feature scales 3, 1, 0.3 and 10:
-    # member 3 diverges at iteration 2, members 0 and 1 settle, member 2 runs
-    # to the cap; each leaves the stack with the bits of its own fit
+def _uneven_logistic_stack():
+    """Tables of 6, 40, 25 and 9 rows at feature scales 3, 1, 0.3 and 10, and
+    settings under which member 3 diverges at iteration 2, members 0 and 1
+    settle at 4 and 28, and member 2 runs to the cap of 300."""
     tables = [_table(20 + i, n, 2, 2, scale)
               for i, (n, scale) in enumerate(zip((6, 40, 25, 9), (3.0, 1.0, 0.3, 10.0)))]
-    params = dict(learning_rate=1e307, max_iter=300, tolerance=1e-3)
+    return tables, dict(learning_rate=1e307, max_iter=300, tolerance=1e-3)
+
+
+def _uneven_mlp_stack():
+    """Three 4-row folds (two settle, one runs to the cap) and a 40-row and a
+    15-row table that diverge, with each one's seed (fold 1 has its own) and
+    the shared settings."""
+    tables = _trains(_table(0, 6, 2, 2), 3, 0) + [_table(0, 40, 2, 2, 1.0),
+                                                  _table(5, 15, 2, 2, 0.5)]
+    return tables, [0, 5, 0, 1, 2], dict(q=2, epochs=4000, learning_rate=0.3)
+
+
+def test_ragged_logistic_members_leave_at_their_own_iteration():
+    # each member stops with the bits of its own fit
+    tables, params = _uneven_logistic_stack()
     expected = [_outcome(lambda: _fit_logistic_2d(table, **params)) for table in tables]
     for steps in (2, 3, 4, 5, 28, 29, BLOCK_STEPS):
         with _block_steps(steps):
@@ -482,12 +500,7 @@ def test_ragged_logistic_members_leave_at_their_own_iteration():
 
 
 def test_ragged_mlp_members_leave_at_their_own_epoch_with_their_own_seed():
-    # three 4-row folds (two settle, one runs to the cap) stacked with a
-    # 40-row and a 15-row table that diverge mid-stack; fold 1 has its own seed
-    tables = _trains(_table(0, 6, 2, 2), 3, 0) + [_table(0, 40, 2, 2, 1.0),
-                                                  _table(5, 15, 2, 2, 0.5)]
-    seeds = [0, 5, 0, 1, 2]
-    params = dict(q=2, epochs=4000, learning_rate=0.3)
+    tables, seeds, params = _uneven_mlp_stack()
     expected = [_outcome(lambda: _fit_mlp_2d(table, seed=seed, init_scale=0.5, **params))
                 for table, seed in zip(tables, seeds)]
     for steps in (121, 122, 401, 402, BLOCK_STEPS):
@@ -495,6 +508,52 @@ def test_ragged_mlp_members_leave_at_their_own_epoch_with_their_own_seed():
             stacked = _stacked(fit_mlp_stacked, tables, seeds=seeds, **params)
         assert _stops(stacked) == [599, 401, 4000, "failed at 121", "failed at 282"]
         assert [_bytes(result) for result in stacked] == expected
+
+
+def _count_prepares(monkeypatch, module):
+    """Per `descend_stacked` call that `module` makes, the number of times
+    the loop calls its `prepare`."""
+    calls = []
+
+    def spy(datasets, starts, prepare, *args):
+        calls.append(0)
+
+        def counted(*stack):
+            calls[-1] += 1
+            return prepare(*stack)
+        return dataset.descend_stacked(datasets, starts, counted, *args)
+    monkeypatch.setattr(module, "descend_stacked", spy)
+    return calls
+
+
+def test_a_stack_is_prepared_once_while_its_members_stop_in_different_blocks(monkeypatch):
+    # a member that stops keeps its place, so the stack is laid out once
+    logistic_calls = _count_prepares(monkeypatch, linear_prob)
+    tables, params = _uneven_logistic_stack()
+    with _block_steps(4):
+        assert _stops(_stacked(fit_logistic_stacked, tables, **params)) == [
+            4, 28, 300, "failed at 2"]
+    assert logistic_calls == [1]
+    mlp_calls = _count_prepares(monkeypatch, neural)
+    tables, seeds, params = _uneven_mlp_stack()
+    assert _stops(_stacked(fit_mlp_stacked, tables, seeds=seeds, **params)) == [
+        599, 401, 4000, "failed at 121", "failed at 282"]
+    assert mlp_calls == [1]
+
+
+@pytest.mark.parametrize("counts", [(9, 1), (9, 1, 1)], ids=["one-row", "two-one-row"])
+def test_one_row_mlp_members_get_their_lone_fit_bits(counts):
+    # a one-row product is one wide, which numpy hands to BLAS gemv, so a
+    # one-row member does not share a stack with longer members
+    params = dict(q=3, epochs=300, learning_rate=0.3, init_scale=0.5)
+    seeds = list(range(len(counts)))
+    for seed in range(30):
+        tables = [_table(seed + 1000 * i, n, 3, 3) for i, n in enumerate(counts)]
+        stacked = _stacked(fit_mlp_stacked, tables, seeds=seeds, **params)
+        for table, fit_seed, result in zip(tables, seeds, stacked):
+            assert _bytes(result) == _outcome(lambda: fit_mlp(table, seed=fit_seed, **params))
+            assert _bytes(result) == _outcome(
+                lambda: _fit_mlp_2d(table, seed=fit_seed, **params))
 
 
 def _kernel_tables():
@@ -674,7 +733,7 @@ def _per_step_mlp(datasets, seeds, q=5, epochs=2000, learning_rate=0.01, init_sc
     x, labels, counts = stack_datasets([datasets[j] for j in live])
     (k, n, p), c = x.shape, datasets[0].n_classes
     results = [None] * k
-    if min(p, q) == 1 and counts[-1] < n:  # one row count per stack, as fit_mlp_stacked
+    if min(p, q, counts[-1]) == 1 and counts[-1] < n:  # one row count per stack, as fit_mlp_stacked
         for size in dict.fromkeys(counts):
             group = [j for j in live if datasets[j].n_samples == size]
             fitted = _per_step_mlp([datasets[j] for j in group], [seeds[j] for j in group],
