@@ -4,6 +4,7 @@ dual coordinate optimization, and brute-force k-nearest neighbors."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,9 +220,11 @@ class SvmMulticlassModel:
         object.__setattr__(self, "machines", tuple(self.machines))
         object.__setattr__(self, "class_pairs", tuple(tuple(p) for p in self.class_pairs))
         object.__setattr__(self, "class_names", tuple(self.class_names))
+        # the machine count bounds the class count before any pair is listed
+        n_pairs = math.comb(max(self.n_classes, 0), 2)
+        if len(self.machines) != n_pairs:
+            raise ValueError(f"need exactly {n_pairs} pairwise machines")
         pairs = tuple(itertools.combinations(range(self.n_classes), 2))
-        if len(self.machines) != len(pairs):
-            raise ValueError(f"need exactly {len(pairs)} pairwise machines")
         if self.class_pairs != pairs:
             raise ValueError(f"class_pairs: expected each pair (a, b) with "
                              f"0 <= a < b < {self.n_classes} once, in order")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,9 +303,9 @@ def _best_splits(columns, labels, totals, criterion):
     n_nodes, k, width = columns.shape
     n = totals.sum(axis=1)
     # NaN padding sorts last and is never greater or smaller than a value
-    ordered = np.sort(columns, axis=2, kind="stable")
-    is_boundary = ordered[:, :, 1:] > ordered[:, :, :-1]
     order = np.argsort(columns, axis=2, kind="stable")
+    ordered = np.take_along_axis(columns, order, axis=2)
+    is_boundary = ordered[:, :, 1:] > ordered[:, :, :-1]
     at = np.arange(n_nodes)
     # class counts of the rows up to each sorted position (exact integers);
     # at a node's last row they are its totals, whose impurity is the parent's
@@ -334,35 +335,151 @@ def _best_splits(columns, labels, totals, criterion):
 
 
 # Raw 64-bit outputs each tree's stream buffers at a time; a tree that has
-# read them all reads as many more from its generator.
+# read them all computes as many more.
 STREAM_BLOCK_RAWS = 32
 _LOW_WORD = 0xFFFFFFFF
 
+# numpy's SeedSequence: its pool of 4 32-bit words and its hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# PCG64 steps its 128-bit state s to s * M + inc (mod 2**128)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, hash_const):
+    """SeedSequence's hash of one 32-bit word (an int, or every word of a
+    uint32 array), and the hash constant that follows `hash_const`."""
+    hash_next = hash_const * _MULT_A & _LOW_WORD
+    value = (value ^ hash_const) * hash_next & _LOW_WORD
+    return value ^ value >> 16, hash_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word `x` with hashed word `y`."""
+    value = ((_MIX_MULT_L * x & _LOW_WORD) - (_MIX_MULT_R * y & _LOW_WORD)) & _LOW_WORD
+    return value ^ value >> 16
+
+
+def _spawned_seeds(seed, n):
+    """`np.random.SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)`
+    for every child i, as four (n,) uint64 arrays, the first two the PCG64
+    seed's high and low words, the last two its stream's.
+
+    A child's entropy is the seed's 32-bit words, least significant first,
+    padded with zeros to the pool size, then its spawn key i. Everything
+    before i is hashed once, as ints; i and the state words go through the
+    same hashes as uint32 arrays, one per child."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    words = [seed >> shift & _LOW_WORD for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const, pool = _INIT_A, []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    key = np.arange(n, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):
+        value, hash_const = _hashmix(key, hash_const)
+        pool[dst] = _mix(pool[dst], value)
+    # generate_state reads the pool round and round, hashing each word with
+    # the next constant of a second sequence; two words make one uint64
+    hash_const, state = _INIT_B, []
+    for w in range(8):
+        value = pool[w % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _LOW_WORD
+        value = value * hash_const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return [state[w] | state[w + 1] << 32 for w in range(0, 8, 2)]
+
+
+def _mul_high(x, y):
+    """The high 64 bits of each 128-bit product x * y of uint64 arrays, from
+    32-bit limbs."""
+    x_low, x_high, y_low, y_high = x & _LOW_WORD, x >> 32, y & _LOW_WORD, y >> 32
+    cross, cross_too = x_low * y_high, x_high * y_low
+    carry = (x_low * y_low >> 32) + (cross & _LOW_WORD) + (cross_too & _LOW_WORD)
+    return x_high * y_high + (cross >> 32) + (cross_too >> 32) + (carry >> 32)
+
+
+def _mul128(a_high, a_low, b_high, b_low):
+    """a * b mod 2**128 of 128-bit numbers held as uint64 (high, low) arrays."""
+    return _mul_high(a_low, b_low) + a_high * b_low + a_low * b_high, a_low * b_low
+
+
+def _add128(a_high, a_low, b_high, b_low):
+    """a + b mod 2**128 of 128-bit numbers held as uint64 (high, low) arrays."""
+    low = a_low + b_low
+    return a_high + b_high + (low < a_low), low
+
+
+def _as_words(numbers):
+    """128-bit ints as a (2, len) uint64 array of their high and low words."""
+    return np.array([[x >> 64 for x in numbers], [x % 2**64 for x in numbers]], dtype=np.uint64)
+
 
 class _TreeStreams:
-    """The random streams of a forest's trees, drawn for many trees per array pass.
+    """The random streams of a forest's trees, computed for all trees per array pass.
 
     Tree t's stream is what `np.random.default_rng(children[t])` reads for a
-    bound of at most 2**32: the raw 64-bit outputs of `PCG64(children[t])`,
-    each split into its low 32-bit word, then its high one. numpy draws an
-    integer below such a bound b by Lemire's method: a word u gives
-    (u * b) >> 32, unless (u * b) mod 2**32 < (2**32 - b) mod b, which rejects
-    u and reads the next word; b = 1 reads nothing. `bootstrap` and `subsets`
-    replay `integers(0, n, size=n)` and `choice(p, m, replace=False)` on these
+    bound of at most 2**32, where `children = SeedSequence(seed).spawn(n)`:
+    the raw 64-bit outputs of `PCG64(children[t])`, each split into its low
+    32-bit word, then its high one. numpy draws an integer below such a bound
+    b by Lemire's method: a word u gives (u * b) >> 32, unless
+    (u * b) mod 2**32 < (2**32 - b) mod b, which rejects u and reads the next
+    word; b = 1 reads nothing. `bootstrap` and `subsets` replay
+    `integers(0, n, size=n)` and `choice(p, m, replace=False)` on these
     rules, and the tests pin both against numpy's own methods.
+
+    No numpy generator is made. SeedSequence's spawn is its multiply-xorshift
+    hash of the seed words and each child's spawn key, computed for all
+    children at once (`_spawned_seeds`). PCG64 (O'Neill, HMC-CS-2014-0905) is
+    a 128-bit LCG, s -> s * M + inc, whose output is the XSL-RR permutation
+    of the new state: the high and low halves xored, rotated right by the top
+    6 bits. An LCG jumps j steps at once, s_j = M^j s + (M^(j-1) + ... + 1)
+    inc, so a refill computes the next STREAM_BLOCK_RAWS states of every
+    tree it serves in one pass of 128-bit products on uint64 arrays.
     """
 
-    def __init__(self, children):
-        self.generators = [np.random.PCG64(child) for child in children]
+    def __init__(self, seed, n_trees):
+        # (M^j, M^(j-1) + ... + 1) for j = 1 .. STREAM_BLOCK_RAWS
+        powers, totals = [_PCG64_MULTIPLIER], [1]
+        for _ in range(1, STREAM_BLOCK_RAWS):
+            powers.append(powers[-1] * _PCG64_MULTIPLIER % 2**128)
+            totals.append((totals[-1] * _PCG64_MULTIPLIER + 1) % 2**128)
+        self.jumps = (_as_words(powers), _as_words(totals))
+        # PCG64's seeding: inc = 2 * seq + 1, a step from state 0 (to inc),
+        # the seed added, a step
+        seed_high, seed_low, seq_high, seq_low = _spawned_seeds(seed, n_trees)
+        self.inc = np.stack((seq_high << 1 | seq_low >> 63, seq_low << 1 | 1))
+        self.state = np.stack(self._steps(np.stack(_add128(*self.inc, seed_high, seed_low)),
+                                          self.inc, *(jump[:, 0] for jump in self.jumps)))
         # word w of a tree's buffer is the low (w even) or high (w odd) half
         # of its raw w // 2; `word` is each tree's next word, and every buffer
         # starts read to its end
-        self.raws = np.zeros((len(children), STREAM_BLOCK_RAWS), dtype=np.uint64)
-        self.word = np.full(len(children), 2 * STREAM_BLOCK_RAWS)
+        self.raws = np.zeros((n_trees, STREAM_BLOCK_RAWS), dtype=np.uint64)
+        self.word = np.full(n_trees, 2 * STREAM_BLOCK_RAWS)
+
+    @staticmethod
+    def _steps(state, inc, power, total):
+        """The states `power`/`total` jump ahead of (high, low) `state`:
+        state * power + inc * total, mod 2**128."""
+        return _add128(*_mul128(*state, *power), *_mul128(*inc, *total))
 
     def bootstrap(self, n):
         """Each tree's `integers(0, n, size=n)` as a (trees, n) array."""
-        trees = np.arange(len(self.generators))
+        trees = np.arange(self.word.size)
         if n < 2:
             return np.zeros((trees.size, n), dtype=np.int64)
         return self._draws(trees, np.full(n, n))
@@ -426,13 +543,23 @@ class _TreeStreams:
 
     def _reserve(self, trees, k):
         """Move each of `trees` with fewer than k < 2 * STREAM_BLOCK_RAWS
-        unread words to the front of its buffer and fill the rest from its
-        generator."""
-        for t in trees[self.word[trees] > 2 * STREAM_BLOCK_RAWS - k].tolist():
-            read = int(self.word[t]) >> 1
-            self.raws[t, :STREAM_BLOCK_RAWS - read] = self.raws[t, read:]
-            self.raws[t, STREAM_BLOCK_RAWS - read:] = self.generators[t].random_raw(read)
-            self.word[t] &= 1
+        unread words to the front of its buffer and fill the rest with its
+        next raws, all such trees in one pass."""
+        refill = trees[self.word[trees] > 2 * STREAM_BLOCK_RAWS - k]
+        if not refill.size:
+            return
+        read = self.word[refill] >> 1  # whole raws read, at least 1
+        # the next STREAM_BLOCK_RAWS states of each tree, then their outputs
+        high, low = self._steps(self.state[:, refill, None], self.inc[:, refill, None],
+                                *self.jumps)
+        at = np.arange(refill.size)
+        self.state[:, refill] = high[at, read - 1], low[at, read - 1]
+        # XSL-RR: the halves xored, rotated right by the state's top 6 bits
+        mixed, turn = high ^ low, high >> 58
+        outputs = mixed >> turn | mixed << (64 - turn & 63)
+        both = np.concatenate((self.raws[refill], outputs), axis=1)
+        self.raws[refill] = both[at[:, None], read[:, None] + np.arange(STREAM_BLOCK_RAWS)]
+        self.word[refill] &= 1
 
 
 class _LockstepGrower:
@@ -764,8 +891,9 @@ def fit_random_forest(
     """Bag Gini trees on bootstrap resamples, a fresh m_try-feature subset per split.
 
     Per-tree randomness comes from independent children of one seed sequence,
-    so results do not depend on build order. `bootstrap=False` is a test hook
-    that trains every tree on the full sample.
+    so results do not depend on build order; `seed` is a nonnegative integer
+    (ValueError if negative, TypeError if not an integer). `bootstrap=False`
+    is a test hook that trains every tree on the full sample.
     """
     _check_leaf_rules(max_depth, min_samples_split)
     if n_trees < 1:
@@ -777,7 +905,7 @@ def fit_random_forest(
         raise ValueError(f"m_try must be in [1, {p}], got {m_try}")
 
     n = ds.n_samples
-    streams = _TreeStreams(np.random.SeedSequence(seed).spawn(n_trees))
+    streams = _TreeStreams(seed, n_trees)
     if bootstrap:
         samples = streams.bootstrap(n)
     else:

@@ -37,6 +37,7 @@ from ecobench import (
     run_process,
     standardize,
 )
+from ecobench import evaluation
 
 
 def _eco(seed=42, **kwargs):
@@ -278,3 +279,74 @@ def test_rank_algorithms_orders_by_accuracy_then_f_then_name():
     assert rank_algorithms(report, "I") == ["RF", "ANN", "DT", "NB"]
     with pytest.raises(ValueError, match="no rows"):
         rank_algorithms(report, "III")
+
+
+# What scaling every feature column by its own power of two, 2^k for k in
+# [-20, 20], must keep for each algorithm. The scaling is exact and
+# `standardize` divides it out exactly (means, sample deviations and the
+# centred, divided values all carry the same 2^k), so each algorithm fits and
+# predicts on the same standardized bits as before.
+_SCALED_COLUMN_RELATIONS = {
+    "DT": "the same splits and thresholds, so the same labels",
+    "RF": "the same bootstrap rows, candidate subsets and splits per tree, so the same votes",
+    "ANN": "the same initial weights and descent steps, so the same output scores",
+    "SVM": "the same kernel matrix (gamma 1/p), SMO path and pairwise votes",
+    "LDA": "the same class means, pooled covariance and discriminant scores",
+    "KNN": "the same distances, neighbour order and votes",
+    "LR": "the same descent steps, so the same class scores",
+    "NB": "the same per-class means, variances and log posteriors",
+}
+
+
+def _process_labels(ds, master_seed):
+    """Per algorithm, per process, the predicted labels of each test set in
+    turn (or the error that stops the cell), seeded as `run_benchmark` seeds
+    them and fit through the same `fit_folds` call."""
+    light = {"RF": {"n_trees": 4}, "LR": {"max_iter": 40}, "ANN": {"epochs": 40}}
+    kinds = (PROCESS_RESUBSTITUTION, PROCESS_HOLDOUT, PROCESS_CV)
+    prepared = [(kind, evaluation._process_pairs(ds, kind,
+                                                 derive_seed(master_seed, "split", kind.name)))
+                for kind in kinds]
+    out = {}
+    for name in ALGORITHM_ORDER:
+        spec = make_algorithm(name, **light.get(name, {}))
+        trains, seeds, tests = [], [], []
+        for kind, (ready, stop) in prepared:
+            assert stop is None
+            for (train, scaling), test in ready:
+                trains.append(train)
+                seeds.append(derive_seed(master_seed, name, kind.name))
+                tests.append(scaling.apply(test.features))
+        adapter = evaluation.algorithm_adapter(name)
+        fitted = adapter.fit_folds(trains, seeds, spec.param_dict())
+        out[name] = [repr(model) if isinstance(model, Exception)
+                     else adapter.predict(model, features).tolist()
+                     for model, features in zip(fitted, tests)]
+    return out
+
+
+@st.composite
+def _scaled_tables(draw):
+    """A small table of 2 or 3 classes with at least 3 rows each, and a power
+    of two per column."""
+    c = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.repeat(np.arange(c), 3),
+                             rng.integers(0, c, size=draw(st.integers(0, 9)))])
+    p = draw(st.integers(1, 4))
+    x = rng.normal(size=(labels.size, p)) * 10.0 ** rng.integers(-3, 4, size=p) + labels[:, None]
+    ds = Dataset(x, labels, tuple(f"f{j}" for j in range(p)), tuple(f"c{j}" for j in range(c)))
+    powers = draw(st.lists(st.integers(-20, 20), min_size=p, max_size=p))
+    return ds, 2.0 ** np.array(powers)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(_scaled_tables(), st.integers(0, 2**16))
+def test_scaling_columns_by_powers_of_two_keeps_every_label(table, master_seed):
+    ds, scale = table
+    scaled = Dataset(ds.features * scale, ds.labels, ds.feature_names, ds.class_names)
+    assert np.array_equal(scaled.features / scale, ds.features)  # the scaling is exact
+    before, after = _process_labels(ds, master_seed), _process_labels(scaled, master_seed)
+    assert set(before) == set(_SCALED_COLUMN_RELATIONS)
+    for name in ALGORITHM_ORDER:
+        assert after[name] == before[name], (name, _SCALED_COLUMN_RELATIONS[name])

@@ -1,12 +1,16 @@
 """Model bundles: JSON round trips must preserve predictions exactly."""
 
 import dataclasses
+import functools
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecobench import (
     SyntheticSpec,
@@ -16,6 +20,7 @@ from ecobench import (
     save_model,
     standardize,
 )
+from ecobench.cli import entry
 from ecobench.evaluation import algorithm_adapter, derive_seed, make_algorithm
 from ecobench.model_io import FORMAT_NAME, FORMAT_VERSION
 
@@ -400,3 +405,86 @@ def test_format_1_tree_with_a_wrong_leaf_class_is_rejected(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: model: root: class_index: not the largest class_distribution entry")):
         load_model(path)
+
+
+# The checked-in bundle of each of the eight algorithms: the tree models in
+# format 2, the others in format 1, whose records format 2 keeps as they are.
+_SAVED = {name: "v2" if name in ("DT", "RF") else "v1" for name in sorted(_CASES)}
+
+
+def _damage_sites(record, loaded, path=()):
+    """(path, kind) of each place in a saved record one damage can go: a
+    number of a whole-number field ("whole") or of a float field ("float"),
+    read from the loaded value, and a nonempty list ("list")."""
+    if isinstance(record, list) and record:
+        yield path, "list"
+        for i, item in enumerate(record):
+            yield from _damage_sites(item, loaded[i], path + (i,))
+    elif isinstance(record, dict):
+        for key, item in record.items():
+            yield from _damage_sites(item, getattr(loaded, key), path + (key,))
+    elif isinstance(record, (int, float)) and not isinstance(record, bool):
+        yield path, "whole" if isinstance(loaded, (int, np.integer)) else "float"
+
+
+@functools.cache
+def _saved_bundle(name):
+    """The bundle's text, its damage sites in the model and scaling records
+    and the two name lists, and the labels it predicts for rows.csv."""
+    path = _DATA / _SAVED[name] / f"{name}.json"
+    text = path.read_text(encoding="utf-8")
+    record, bundle = json.loads(text), load_model(path)
+    sites = [(("feature_names",), "names"), (("class_names",), "names")]
+    for field in ("model", "scaling"):
+        sites += _damage_sites(record[field], getattr(bundle, field), (field,))
+    labels = (_DATA / _SAVED[name] / f"{name}.labels").read_text(encoding="utf-8")
+    return text, tuple(sites), labels
+
+
+# Per kind of site, the damages drawn: a non-finite number anywhere; a
+# fraction, a negative or an out-of-range value (an id or a count past any
+# table) in a whole-number field; a list one entry short or nested once more;
+# a name list one name short or long.
+_DAMAGES = {
+    "float": (math.nan, math.inf),
+    "whole": (math.nan, math.inf, 2.5, -1, 10**6, 2**63),
+    "list": ("short", "nested"),
+    "names": ("short", "long"),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_bundle_predicts_its_labels_or_names_the_file(tmp_path, capsys, data):
+    # an exception that escapes `entry`, RuntimeWarnings included, is a traceback
+    name = data.draw(st.sampled_from(sorted(_SAVED)), label="bundle")
+    text, sites, labels = _saved_bundle(name)
+    # a field first, so that each field, however few its numbers, is damaged often
+    field = data.draw(st.sampled_from(sorted({path[:2] for path, _ in sites})), label="field")
+    path, kind = data.draw(st.sampled_from([site for site in sites if site[0][:2] == field]),
+                           label="site")
+    damage = data.draw(st.sampled_from(_DAMAGES[kind]), label="damage")
+    record = json.loads(text)
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    if damage == "short":
+        parent[path[-1]] = value[:-1]
+    elif damage == "nested":
+        parent[path[-1]] = [value]
+    elif damage == "long":
+        parent[path[-1]] = value + ["extra"]
+    else:
+        parent[path[-1]] = damage
+    model_path = tmp_path / "damaged.json"
+    model_path.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+    code = entry(["predict", "--model", str(model_path), "--data", str(_DATA / "v1" / "rows.csv")])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out == labels
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1

@@ -596,9 +596,9 @@ def test_tree_streams_replay_numpy_integers_and_choice(monkeypatch, block_raws, 
     # within almost every draw
     monkeypatch.setattr(trees, "STREAM_BLOCK_RAWS", block_raws)
     for seed in (0, 1, 2):
-        children = np.random.SeedSequence(seed).spawn(3)
-        streams = trees._TreeStreams(children)
-        generators = [np.random.default_rng(child) for child in children]
+        streams = trees._TreeStreams(seed, 3)
+        generators = [np.random.default_rng(child)
+                      for child in np.random.SeedSequence(seed).spawn(3)]
         samples = streams.bootstrap(n)
         for t, rng in enumerate(generators):
             assert np.array_equal(samples[t], rng.integers(0, n, size=n))
@@ -606,6 +606,44 @@ def test_tree_streams_replay_numpy_integers_and_choice(monkeypatch, block_raws, 
             subsets = streams.subsets(np.arange(3), p, m)
             for t, rng in enumerate(generators):
                 assert np.array_equal(subsets[t], np.sort(rng.choice(p, m, replace=False)))
+
+
+@pytest.mark.parametrize("block_raws", [2, trees.STREAM_BLOCK_RAWS])
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1, 2**128 + 5])
+def test_tree_streams_compute_numpy_spawned_pcg64_words(monkeypatch, block_raws, seed):
+    # 2**128 + 5 has five 32-bit entropy words, one past SeedSequence's pool
+    monkeypatch.setattr(trees, "STREAM_BLOCK_RAWS", block_raws)
+    for n_trees in (1, 3, 500, 2000):
+        children = np.random.SeedSequence(seed).spawn(n_trees)
+        streams = trees._TreeStreams(seed, n_trees)
+        # a bound of 2**32 rejects no word and draws the word itself
+        words = streams._draws(np.arange(n_trees), np.full(10, 2**32))
+        raws = np.array([np.random.PCG64(child).random_raw(5) for child in children])
+        assert np.array_equal(words, np.stack((raws & 0xFFFFFFFF, raws >> 32), axis=2)
+                              .reshape(n_trees, 10).astype(np.int64))
+        # then a bootstrap of 75 rows reads on from word 10
+        samples = streams.bootstrap(75)
+        for t in (0, n_trees // 2, n_trees - 1):
+            rng = np.random.default_rng(children[t])
+            rng.integers(0, 2**32, size=10)
+            assert np.array_equal(samples[t], rng.integers(0, 75, size=75))
+
+
+def test_forest_seed_is_a_nonnegative_integer():
+    ds = _blob_dataset(5, n_per=5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_random_forest(ds, n_trees=2, seed=-1)
+    for seed in (1.0, 2.5, "3", None, [1, 2], np.float64(4.0)):
+        with pytest.raises(TypeError):
+            fit_random_forest(ds, n_trees=2, seed=seed)
+    # every word of a large seed counts, as in numpy's SeedSequence, and a
+    # numpy integer is its value
+    for seed in (2**64 + 3, 2**128 + 3, np.uint64(3)):
+        model = fit_random_forest(ds, n_trees=4, seed=seed)
+        grown, importance = _per_node_forest(ds, 4, model.m_try, int(seed))
+        for tree, expected in zip(model.trees, grown):
+            _assert_same_nodes(tree, expected)
+        assert model.importance.tobytes() == importance.tobytes()
 
 
 # PCG64's 128-bit state multiplier: a state s steps to s * M + inc, whose
@@ -630,8 +668,10 @@ def test_tree_streams_redraw_a_rejected_word():
     assert int(check.random_raw()) == 0x9E3779B9 << 32
 
     def fresh():
-        streams = trees._TreeStreams([np.random.SeedSequence(0)])
-        streams.generators[0].state = state
+        streams = trees._TreeStreams(0, 1)
+        pcg = state["state"]
+        streams.state[:, 0] = pcg["state"] >> 64, pcg["state"] & (2**64 - 1)
+        streams.inc[:, 0] = pcg["inc"] >> 64, pcg["inc"] & (2**64 - 1)
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = state
         return streams, rng
@@ -657,7 +697,7 @@ def test_forest_bootstrap_skips_a_rejected_word(seed, at):
     assert rejected.tolist() == [at]
     expected = np.random.default_rng(child).integers(0, n, size=n)
     assert not np.array_equal((scaled >> 32).astype(np.int64), expected)
-    assert np.array_equal(trees._TreeStreams([child]).bootstrap(n)[0], expected)
+    assert np.array_equal(trees._TreeStreams(seed, 1).bootstrap(n)[0], expected)
     ds = _blob_dataset(5, n_per=1000, p=3, c=2, gap=1.0)
     model = fit_random_forest(ds, n_trees=1, seed=seed, max_depth=2)
     grown, importance = _per_node_forest(ds, 1, model.m_try, seed, max_depth=2)
@@ -667,11 +707,12 @@ def test_forest_bootstrap_skips_a_rejected_word(seed, at):
 
 def test_forest_fit_makes_no_numpy_generator(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("fit_random_forest made a numpy Generator")
+        raise AssertionError("fit_random_forest made a numpy seed sequence, bit generator "
+                             "or Generator")
 
     ds = _blob_dataset(3, n_per=10, p=5, gap=1.0)
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(np.random, "Generator", refuse)
+    for name in ("default_rng", "Generator", "SeedSequence", "PCG64"):
+        monkeypatch.setattr(np.random, name, refuse)
     model = fit_random_forest(ds, n_trees=20, seed=9)
     assert model.n_trees == 20
 
