@@ -96,7 +96,6 @@ from .neural import (
 from .trees import (
     DecisionTreeModel,
     ForestModel,
-    NodeView,
     conditional_entropy,
     entropy,
     fit_decision_tree,

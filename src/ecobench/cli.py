@@ -289,8 +289,8 @@ def cmd_inspect(args) -> int:
     for i, name in enumerate(ds.class_names):
         writer.writerow([name, int(counts[i])])
     print("# correlation")
-    corr = np.corrcoef(ds.features, rowvar=False)
-    corr = np.atleast_2d(corr)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a constant column reads nan
+        corr = np.atleast_2d(np.corrcoef(ds.features, rowvar=False))
     writer.writerow(["feature"] + list(ds.feature_names))
     for j, name in enumerate(ds.feature_names):
         writer.writerow([name] + [f"{v:.10g}" for v in corr[j]])

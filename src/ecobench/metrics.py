@@ -112,20 +112,21 @@ def macro_aggregate(cm: ConfusionMatrix) -> BinaryAggregates:
 
     The four components of the result sum to 1, which keeps the binary measure
     formulas directly applicable to multiclass matrices.
+
+    Summed over the classes, the true positives are the trace, the false
+    positives and the false negatives each every off-diagonal count, and the
+    true negatives the rest of c copies of the total. These are exact integers,
+    so the closed form equals the per-class sum to the bit.
     """
     total = cm.total
     if total == 0:
         raise ValueError("cannot aggregate an empty confusion matrix")
     c = cm.n_classes
-    tp = fp = tn = fn = 0.0
-    for k in range(c):
-        agg = one_vs_rest(cm, k)
-        tp += agg.tp
-        fp += agg.fp
-        tn += agg.tn
-        fn += agg.fn
+    trace = int(np.trace(cm.counts))
     scale = 1.0 / (c * total)
-    return BinaryAggregates(tp=tp * scale, fp=fp * scale, tn=tn * scale, fn=fn * scale)
+    off = (total - trace) * scale
+    return BinaryAggregates(tp=trace * scale, fp=off, tn=((c - 2) * total + trace) * scale,
+                            fn=off)
 
 
 def measures(agg: BinaryAggregates) -> MeasureSet:

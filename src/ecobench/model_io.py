@@ -15,8 +15,8 @@ the bad field.
 
 Format 2 saves a tree, and a forest, as flat per-node lists (`feature`,
 `threshold`, `left`, `value`, and a forest's `roots`). Format 1 nested each
-tree node in its parent; its files still load, converted here to the flat
-layout, and every other model reads the same in both formats.
+tree node in its parent: a format-1 DT or RF file is refused and must be
+fitted again, while every other model reads the same in both formats.
 """
 
 from __future__ import annotations
@@ -120,89 +120,6 @@ def _decode(cls, record, plan=None):
     return cls(**kwargs)
 
 
-def _format_1_tree(record) -> dict:
-    """The format-2 record of a format-1 tree, whose `root` object nests
-    every node: a split holds `feature_index`, `threshold`, `left` and
-    `right`, a leaf `class_index` and `class_distribution`. Nodes get the
-    grower's ids (the root 0, a split's children the next two free ids, in
-    pre-order), and the walk keeps its own stack, so any depth converts."""
-    if not isinstance(record, dict):
-        raise TypeError(f"expected an object, got {type(record).__name__}")
-    if "root" not in record:
-        raise ValueError("root: missing")
-    nodes, left, stack = [record["root"]], [-1], [0]
-    while stack:
-        i = stack.pop()
-        node = nodes[i]
-        if not isinstance(node, dict):
-            raise TypeError(f"root: expected an object, got {type(node).__name__}")
-        if node.get("class_index") is None:
-            if any(node.get(key) is None for key in ("feature_index", "threshold", "left",
-                                                     "right")):
-                raise ValueError(
-                    "root: internal nodes need a feature, a threshold and two children")
-            left[i] = len(nodes)
-            nodes += [node["left"], node["right"]]
-            left += [-1, -1]
-            stack += [left[i] + 1, left[i]]
-    leaves = [i for i, child in enumerate(left) if child == -1]
-    try:
-        distribution = np.array([nodes[i].get("class_distribution") for i in leaves],
-                                dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"root: class_distribution: {exc}") from None
-    if distribution.ndim != 2:
-        raise ValueError("root: class_distribution: expected one vector per leaf")
-    if (np.isfinite(distribution).all()
-            and [nodes[i]["class_index"] for i in leaves] != distribution.argmax(axis=1).tolist()):
-        raise ValueError("root: class_index: not the largest class_distribution entry")
-    value = np.zeros((len(nodes), distribution.shape[1]))
-    value[leaves] = distribution
-    flat = {key: item for key, item in record.items() if key != "root"}
-    flat.update(
-        feature=[-1 if i == -1 else node["feature_index"] for node, i in zip(nodes, left)],
-        threshold=[0.0 if i == -1 else node["threshold"] for node, i in zip(nodes, left)],
-        left=left,
-        value=value,
-    )
-    return flat
-
-
-def _format_1_forest(record) -> dict:
-    """The format-2 record of a format-1 forest: its list of tree records
-    becomes one node table, tree after tree."""
-    if not isinstance(record, dict):
-        raise TypeError(f"expected an object, got {type(record).__name__}")
-    trees = record.get("trees")
-    if not isinstance(trees, list) or not trees:
-        raise ValueError("trees: expected a nonempty list of trees")
-    try:
-        flat = [_format_1_tree(tree) for tree in trees]
-        roots = np.cumsum([0] + [len(tree["left"]) for tree in flat[:-1]])
-        left = [np.array(tree["left"]) for tree in flat]
-        value = np.concatenate([tree["value"] for tree in flat])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"trees: {exc}") from None
-    forest = {key: item for key, item in record.items() if key != "trees"}
-    forest.update(
-        max_depth=flat[0].get("max_depth"),
-        min_samples_split=flat[0].get("min_samples_split"),
-        roots=roots,
-        feature=[f for tree in flat for f in tree["feature"]],
-        threshold=[t for tree in flat for t in tree["threshold"]],
-        left=np.concatenate([np.where(ids == -1, -1, ids + r) for ids, r in zip(left, roots)]),
-        value=value,
-    )
-    return forest
-
-
-# Readers of the format-1 tree and forest records, in place of the model class
-_FORMAT_1_MODELS = {
-    DecisionTreeModel: lambda record: _decode(DecisionTreeModel, _format_1_tree(record)),
-    ForestModel: lambda record: _decode(ForestModel, _format_1_forest(record)),
-}
-
-
 @dataclass(frozen=True)
 class ModelBundle:
     algorithm: str
@@ -259,8 +176,9 @@ def load_model(path) -> ModelBundle:
         raise ValueError(f"{path}: unsupported version {version!r}")
     try:
         model_class = algorithm_adapter(record.get("algorithm")).model_class
-        if version == 1:
-            model_class = _FORMAT_1_MODELS.get(model_class, model_class)
+        if version == 1 and model_class in (DecisionTreeModel, ForestModel):
+            raise ValueError(f"a version 1 {record['algorithm']} model no longer loads; "
+                             "fit it again")
         return _decode(ModelBundle, record, _plan(ModelBundle, model=model_class))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -125,9 +125,11 @@ def _checked_nodes(model, roots: np.ndarray) -> None:
 
 
 class NodeView:
-    """One node of a tree model, read from its arrays: an internal node has a
-    feature, a threshold and two children, a leaf a class and a class
-    distribution. Holds only the model and the node id."""
+    """One node of a tree model, read from its `left` array: whether it is a
+    leaf, and an internal node's two children. Holds only the model and the
+    node id. Node contents are read from the arrays; the view is kept only for
+    the benchmark's tracer, which counts nodes by walking
+    `DecisionTreeModel.root`, until it counts them from `left.size`."""
 
     __slots__ = ("tree", "index")
 
@@ -146,23 +148,6 @@ class NodeView:
     @property
     def right(self) -> "NodeView | None":
         return None if self.is_leaf else NodeView(self.tree, int(self.tree.left[self.index]) + 1)
-
-    @property
-    def feature_index(self) -> int | None:
-        return None if self.is_leaf else int(self.tree.feature[self.index])
-
-    @property
-    def threshold(self) -> float | None:
-        return None if self.is_leaf else float(self.tree.threshold[self.index])
-
-    @property
-    def class_index(self) -> int | None:
-        """The leaf's majority class, ties to the lowest index."""
-        return int(np.argmax(self.tree.value[self.index])) if self.is_leaf else None
-
-    @property
-    def class_distribution(self) -> np.ndarray | None:
-        return self.tree.value[self.index] if self.is_leaf else None
 
 
 @dataclass(frozen=True)

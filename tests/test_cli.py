@@ -61,6 +61,15 @@ def test_inspect_prints_sections(tmp_path, capsys):
     assert "feature,mean,std,min,max" in out
 
 
+def test_inspect_reads_nan_for_a_constant_column_without_warnings(tmp_path, capsys):
+    path = tmp_path / "constant.csv"
+    path.write_text("a,b,sediment\n1,2,C\n1,3,G\n1,5,C\n", encoding="utf-8")
+    assert entry(["inspect", "--data", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("# correlation\nfeature,a,b\r\na,nan,nan\r\nb,nan,1\r\n")
+    assert err == ""
+
+
 def test_bench_synthetic_writes_full_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = entry(

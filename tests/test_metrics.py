@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecobench import (
     BinaryAggregates,
@@ -102,6 +104,35 @@ def test_macro_aggregate_matches_manual_mean():
     assert agg.fp == pytest.approx((1 + 2) / 24)
     assert agg.fn == pytest.approx((2 + 1) / 24)
     assert agg.tn == pytest.approx((4 + 5) / 24)
+
+
+def _per_class_macro_aggregate(cm):
+    """The macro aggregate as the mean of the per-class one-vs-rest counts."""
+    tp = fp = tn = fn = 0.0
+    for k in range(cm.n_classes):
+        agg = one_vs_rest(cm, k)
+        tp += agg.tp
+        fp += agg.fp
+        tn += agg.tn
+        fn += agg.fn
+    scale = 1.0 / (cm.n_classes * cm.total)
+    return tp * scale, fp * scale, tn * scale, fn * scale
+
+
+@st.composite
+def _confusion_matrices(draw):
+    c = draw(st.integers(1, 9))
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=c * c, max_size=c * c))
+    counts[draw(st.integers(0, c * c - 1))] += 1  # a positive total
+    return ConfusionMatrix(np.array(counts).reshape(c, c))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_confusion_matrices())
+def test_macro_aggregate_closed_form_equals_the_per_class_sum_bit_for_bit(cm):
+    agg = macro_aggregate(cm)
+    got = np.array([agg.tp, agg.fp, agg.tn, agg.fn])
+    assert got.tobytes() == np.array(_per_class_macro_aggregate(cm)).tobytes()
 
 
 def test_macro_accuracy_equals_label_agreement_rate():

@@ -347,7 +347,8 @@ def test_every_array_of_a_loaded_bundle_is_read_only(tmp_path, name):
 #   ecobench predict --model NAME.json --data rows.csv --out NAME.labels
 # with P n_trees=3 for RF, epochs=50 for ANN, max_iter=200 for LR and
 # kernel=linear for SVM-linear: every algorithm at format version 1 in
-# data/v1, the tree models at format version 2 in data/v2.
+# data/v1, the tree models at format version 2 in data/v2. The format-1 tree
+# files no longer load; they are kept to check that they are refused.
 _DATA = Path(__file__).parent / "data"
 
 
@@ -366,24 +367,13 @@ def _resave(bundle, path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize(
-    "name", ["DT", "RF", "ANN", "SVM", "SVM-linear", "LDA", "KNN", "LR", "NB"]
-)
+@pytest.mark.parametrize("name", ["ANN", "SVM", "SVM-linear", "LDA", "KNN", "LR", "NB"])
 def test_format_1_bundles_load_predict_and_resave_unchanged(tmp_path, name):
     bundle = _load_and_predict("v1", name)
     again = _resave(bundle, tmp_path / "again.json")
     assert again["version"] == FORMAT_VERSION == 2
-    if name in ("DT", "RF"):
-        # a tree is saved flat now; the flat file reloads to the same model
-        reloaded = load_model(tmp_path / "again.json")
-        _assert_identical(reloaded.model, bundle.model)
-        assert np.array_equal(reloaded.predict(load_csv(_DATA / "v1" / "rows.csv", "sediment")
-                                               .features),
-                              bundle.predict(load_csv(_DATA / "v1" / "rows.csv", "sediment")
-                                             .features))
-    else:
-        original = json.loads((_DATA / "v1" / f"{name}.json").read_text(encoding="utf-8"))
-        assert {**again, "version": 1} == original
+    original = json.loads((_DATA / "v1" / f"{name}.json").read_text(encoding="utf-8"))
+    assert {**again, "version": 1} == original
 
 
 @pytest.mark.parametrize("name", ["DT", "RF"])
@@ -391,20 +381,20 @@ def test_format_2_tree_bundles_load_predict_and_resave_unchanged(tmp_path, name)
     bundle = _load_and_predict("v2", name)
     original = json.loads((_DATA / "v2" / f"{name}.json").read_text(encoding="utf-8"))
     assert _resave(bundle, tmp_path / "again.json") == original
-    # the same trees as their format-1 files, to the bit
-    _assert_identical(bundle.model, load_model(_DATA / "v1" / f"{name}.json").model)
 
 
-def test_format_1_tree_with_a_wrong_leaf_class_is_rejected(tmp_path):
-    record = json.loads((_DATA / "v1" / "DT.json").read_text(encoding="utf-8"))
-    leaf = record["model"]["root"]["left"]
-    assert leaf["class_distribution"] == [0.0, 1.0, 0.0]
-    leaf["class_index"] = 0
-    path = tmp_path / "DT.json"
-    path.write_text(json.dumps(record), encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: model: root: class_index: not the largest class_distribution entry")):
+@pytest.mark.parametrize("name", ["DT", "RF"])
+def test_format_1_tree_bundles_are_refused_naming_the_file(capsys, name):
+    # format 1 nested each tree node in its parent; such a file is refused
+    path = _DATA / "v1" / f"{name}.json"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: a version 1 {name} model no longer loads; fit it again")):
         load_model(path)
+    capsys.readouterr()
+    assert entry(["predict", "--model", str(path), "--data", str(_DATA / "v1" / "rows.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: a version 1 {name} model no longer loads; fit it again\n"
 
 
 # The checked-in bundle of each of the eight algorithms: the tree models in

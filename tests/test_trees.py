@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from ecobench import (
     Dataset,
+    SyntheticSpec,
     conditional_entropy,
     entropy,
     fit_decision_tree,
     fit_random_forest,
     forest_error_trace,
     forest_votes,
+    generate_ecological,
     gini_impurity,
     information_gain,
     predict_forest,
@@ -138,7 +140,7 @@ def test_tree_leaf_majority_on_contradictory_rows():
 def test_tree_threshold_is_midpoint_and_ties_go_left():
     ds = Dataset([[1.0], [3.0]], [0, 1], ("a",), ("X", "Y"))
     model = fit_decision_tree(ds)
-    assert model.root.threshold == 2.0
+    assert model.threshold[0] == 2.0
     assert predict_tree(model, [2.0]) == 0
     assert predict_tree(model, [2.0001]) == 1
 
@@ -156,13 +158,14 @@ from ecobench import Dataset, fit_decision_tree, fit_random_forest, predict_fore
 column = np.array(json.loads(sys.argv[1]))[:, None]
 ds = Dataset(column, [0, 1, 0], ("x",), ("A", "B"))
 
-def thresholds(node):
-    return [] if node.is_leaf else [node.threshold, *thresholds(node.left), *thresholds(node.right)]
+def thresholds(tree, i=0):
+    j = tree.left[i]
+    return [] if j == -1 else [tree.threshold[i], *thresholds(tree, j), *thresholds(tree, j + 1)]
 
 out = {}
 for criterion in ("entropy", "gini"):
     tree = fit_decision_tree(ds, criterion=criterion)
-    out[criterion] = [thresholds(tree.root), predict_tree(tree, column).tolist()]
+    out[criterion] = [thresholds(tree), predict_tree(tree, column).tolist()]
 out["depth1"] = predict_tree(fit_decision_tree(ds, max_depth=1), column).tolist()
 out["full"] = predict_forest(fit_random_forest(ds, n_trees=7, bootstrap=False), column).tolist()
 out["bagged"] = predict_forest(fit_random_forest(ds, n_trees=50, seed=3), column).tolist()
@@ -211,9 +214,9 @@ def test_leaf_rejects_a_non_finite_distribution():
         with pytest.raises(ValueError, match="value: leaf 2's class distribution is not finite "
                                              "or does not sum to 1"):
             _stump(value=[[0.0, 0.0], [1.0, 0.0], distribution])
-    leaf = _stump().root.right
-    assert leaf.is_leaf and leaf.class_index == 1
-    assert leaf.class_distribution.tolist() == [0.25, 0.75]
+    stump = _stump()
+    assert stump.left[2] == -1 and stump.value[2].tolist() == [0.25, 0.75]
+    assert predict_tree(stump, [0.0, 1.0]) == 1
 
 
 @pytest.mark.parametrize("arrays, message", [
@@ -244,24 +247,43 @@ def test_root_view_reads_the_node_arrays():
         i = node.index
         if node.is_leaf:
             assert model.left[i] == -1 and node.left is None and node.right is None
-            assert node.feature_index is None and node.threshold is None
-            assert node.class_index == int(np.argmax(model.value[i]))
-            assert node.class_distribution.tobytes() == model.value[i].tobytes()
         else:
             assert (node.left.index, node.right.index) == (model.left[i], model.left[i] + 1)
-            assert node.feature_index == model.feature[i] and node.class_index is None
-            assert node.threshold == model.threshold[i] and node.class_distribution is None
             stack += [node.right, node.left]
     assert sorted(seen) == list(range(model.left.size))
     assert not model.value.flags.writeable and not model.left.flags.writeable
 
 
+def _walked_nodes(model):
+    """Nodes reached from `model.root`, counted as the benchmark's tracer
+    counts them (perfbench/tracing.py's `_tree_nodes`)."""
+    stack, nodes = [model.root], 0
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if not node.is_leaf:
+            stack += (node.left, node.right)
+    return nodes
+
+
+def test_tracer_walk_visits_every_node_of_a_tree_and_a_default_forest():
+    ds = generate_ecological(SyntheticSpec())
+    assert ds.n_samples == 30
+    tree = fit_decision_tree(ds)
+    assert _walked_nodes(tree) == tree.left.size
+    forest = fit_random_forest(ds)
+    assert len(forest.trees) == forest.n_trees == 500
+    walked = [_walked_nodes(t) for t in forest.trees]
+    assert walked == [t.left.size for t in forest.trees]
+    assert sum(walked) == forest.left.size
+
+
 def test_tree_split_tie_breaks_prefer_low_feature_then_low_threshold():
     ds = Dataset([[0.0, 0.0], [1.0, 1.0]], [0, 1], ("a", "b"), ("X", "Y"))
-    assert fit_decision_tree(ds).root.feature_index == 0
+    assert fit_decision_tree(ds).feature[0] == 0
     ds = Dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], ("a",), ("X", "Y"))
     # gains tie at thresholds 0.5 and 2.5; the lower one must win
-    assert fit_decision_tree(ds).root.threshold == 0.5
+    assert fit_decision_tree(ds).threshold[0] == 0.5
 
 
 def _impurity_of_rows_loop(counts, criterion):
@@ -772,24 +794,26 @@ def test_forest_prediction_is_the_vote_mode():
         assert predict_forest(model, x) == expected
 
 
-def _oracle_leaf(root, x, equal_hits):
-    """Reference walk of one row from the root; counts rows landing exactly on a threshold."""
-    node = root
-    while not node.is_leaf:
-        equal_hits[0] += x[node.feature_index] == node.threshold
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.class_index
+def _oracle_leaf(tree, x, equal_hits):
+    """Reference walk of one row from the root, to its leaf's majority class
+    (ties to the lowest index); counts rows landing exactly on a threshold."""
+    i = 0
+    while tree.left[i] != -1:
+        value, threshold = x[tree.feature[i]], tree.threshold[i]
+        equal_hits[0] += value == threshold
+        i = tree.left[i] if value <= threshold else tree.left[i] + 1
+    return int(np.argmax(tree.value[i]))
 
 
 def _probe_rows(models, p, rng):
     """Random rows, rows set exactly to node thresholds, and rows with NaN cells."""
     thresholds = [[] for _ in range(p)]
-    stack = [tree.root for tree in models]
+    stack = [(tree, 0) for tree in models]
     while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            thresholds[node.feature_index].append(node.threshold)
-            stack += (node.left, node.right)
+        tree, i = stack.pop()
+        if tree.left[i] != -1:
+            thresholds[tree.feature[i]].append(tree.threshold[i])
+            stack += ((tree, tree.left[i]), (tree, tree.left[i] + 1))
     plain = rng.normal(0.0, 4.0, size=(40, p))
     exact = plain.copy()
     for f in range(p):
@@ -808,7 +832,7 @@ def test_batch_tree_labels_equal_per_row_walk():
         for criterion in ("entropy", "gini"):
             model = fit_decision_tree(ds, criterion=criterion)
             rows = _probe_rows([model], ds.n_features, rng)
-            expected = [_oracle_leaf(model.root, x, hits) for x in rows]
+            expected = [_oracle_leaf(model, x, hits) for x in rows]
             labels = predict_tree(model, rows)
             assert labels.shape == (rows.shape[0],)
             assert labels.tolist() == expected
@@ -828,7 +852,7 @@ def test_batch_forest_labels_equal_per_row_vote():
         for x in rows:
             votes = np.zeros(ds.n_classes, dtype=np.int64)
             for tree in model.trees:
-                votes[_oracle_leaf(tree.root, x, hits)] += 1
+                votes[_oracle_leaf(tree, x, hits)] += 1
             top = [c for c in range(ds.n_classes) if votes[c] == votes.max()]
             ties += len(top) > 1
             expected_votes.append(votes)
@@ -904,7 +928,7 @@ def _assert_error_trace_matches_oracle(model, ds, hold):
         errors = []
         for tree in model.trees:
             for i, x in enumerate(data.features):
-                tallies[i, _oracle_leaf(tree.root, x, [0])] += 1
+                tallies[i, _oracle_leaf(tree, x, [0])] += 1
             errors.append(float(np.mean(np.argmax(tallies, axis=1) != data.labels)))
         return errors
 
@@ -983,7 +1007,7 @@ def test_flat_tree_matches_per_node_grower_on_adversarial_tables(ds, criterion, 
     grower = _PerNodeGrower(ds.features, ds.labels, ds.n_classes, criterion, max_depth, 2)
     _assert_same_nodes(model, grower.grow())
     rows = _probe_rows([model], ds.n_features, np.random.default_rng(seed))
-    assert predict_tree(model, rows).tolist() == [_oracle_leaf(model.root, x, [0]) for x in rows]
+    assert predict_tree(model, rows).tolist() == [_oracle_leaf(model, x, [0]) for x in rows]
 
 
 @_ORACLE_SETTINGS
@@ -1002,7 +1026,7 @@ def test_flat_forest_matches_per_tree_grower_on_adversarial_tables(ds, n_trees, 
     votes = np.zeros((rows.shape[0], ds.n_classes), dtype=np.int64)
     for i, x in enumerate(rows):
         for tree in model.trees:
-            votes[i, _oracle_leaf(tree.root, x, [0])] += 1
+            votes[i, _oracle_leaf(tree, x, [0])] += 1
     assert np.array_equal(forest_votes(model, rows), votes)
     finite = rows[np.isfinite(rows).all(axis=1)]
     hold = Dataset(finite, np.arange(finite.shape[0]) % ds.n_classes, ds.feature_names,
