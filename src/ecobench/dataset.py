@@ -211,50 +211,74 @@ def descend_stacked(datasets, starts, prepare, step, score, learning_rate: float
     like its `starts` entry.
 
     The datasets are stacked longest first (`stack_datasets`), and so are
-    their start weights; a stack of one is its dataset's own 2-D rows and
-    weights, whose products cost less per call. `prepare(features, labels,
-    counts)` gives the stack's weight-independent inputs, once per call, and
-    the trailing shape of one row's loss terms. Step i calls `step(weights,
-    inputs, terms)`, which writes the loss terms of the weights into `terms`
-    and returns their gradients; each weight array then takes
-    w - learning_rate * gradient. Steps run in blocks of `BLOCK_STEPS`, into
-    buffers allocated once per block. At a block's end `score(terms, inputs)`
-    turns the (s, k, n, ...) terms of its s steps into (s, k) losses, and
-    `first_stops` finds where each member stops: at a non-finite loss, a
-    settled one (a nonnegative improvement below `tolerance`) or step
-    `max_steps`. A member that stops keeps its place in the stack, and the
-    steps it takes after its stop are thrown away; the loop ends once every
-    member has stopped. No member's steps change another's bits.
+    their start weights. The weights of one step are one flat vector, laid
+    out array by array: every member's first array, then every member's
+    second, and so on, each a contiguous (k, ...) view of it. A stack of one
+    steps on its dataset's own 2-D rows and its own 2-D weight views, whose
+    products cost less per call.
+
+    `prepare(features, labels, counts, grads)` is called once per call with
+    the stack's rows and the views of one flat gradient vector laid out like
+    the weights; it returns the step's workspace, with every buffer a step
+    needs, and the trailing shape of one row's loss terms. Step i calls
+    `step(weights, workspace, terms)`, which writes the loss terms of the
+    weights into `terms` and their gradients into `grads`, and every
+    intermediate into the workspace, allocating nothing: each buffer is
+    overwritten by the next step. The next weights are then w -
+    learning_rate * gradient, in two operations on the flat vectors.
+
+    Steps run in blocks of `BLOCK_STEPS`, in one weight buffer and one loss
+    terms buffer allocated once per call. At a block's end `score(terms,
+    workspace)` turns the (s, k, n, ...) terms of its s steps into (s, k)
+    losses, and `first_stops` finds where each member stops: at a non-finite
+    loss, a settled one (a nonnegative improvement below `tolerance`) or
+    step `max_steps`. A member's weights at its stop are copied out of the
+    buffer, which the next block overwrites. A member that stops keeps its
+    place in the stack, and the steps it takes after its stop are thrown
+    away; the loop ends once every member has stopped. No member's steps
+    change another's bits.
     """
     order = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
     features, labels, counts = stack_datasets([datasets[j] for j in order])
-    weights = [np.stack(arrs) for arrs in zip(*(starts[j] for j in order))]
-    own = 0 if len(order) == 1 else slice(None)  # a lone fit steps on 2-D views
-    inputs, tail = prepare(features[own], labels[own], counts)
+    k = len(order)
+    shapes = [(k,) + w.shape for w in starts[order[0]]]
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+
+    def arrays(vector):
+        """The (k, ...) weight arrays of a flat vector, as views of it."""
+        return [vector[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+
+    own = 0 if k == 1 else slice(None)  # a lone fit steps on 2-D views
+    steps = min(BLOCK_STEPS, max_steps + 1)
+    # row i holds the weights of a block's step i, and row s those after it
+    block = np.empty((steps + 1, bounds[-1]))
+    block[0] = np.concatenate([np.stack(arrs).ravel()
+                               for arrs in zip(*(starts[j] for j in order))])
+    grad = np.empty(bounds[-1])
+    inputs, tail = prepare(features[own], labels[own], counts,
+                           tuple(g[own] for g in arrays(grad)))
+    terms = np.empty((steps,) + labels.shape + tail)
+    rows = [(flat, tuple(w[own] for w in arrays(flat))) for flat in block]
     histories = [[] for _ in order]
-    prev = np.full(len(order), math.inf)  # no settling test before the first step
+    prev = np.full(k, math.inf)  # no settling test before the first step
     results = [None] * len(datasets)
-    running, start = list(range(len(order))), 0
+    running, start = list(range(k)), 0
     while running:
-        steps = min(BLOCK_STEPS, max_steps + 1 - start)
-        blocks = [np.empty((steps + 1,) + w.shape) for w in weights]
-        for block, w in zip(blocks, weights):
-            block[0] = w
-        terms = np.empty((steps,) + labels.shape + tail)
-        rows = list(zip(*(block[:, own] for block in blocks)))
-        for ws, nexts, term in zip(rows, rows[1:], terms[:, own]):
-            for w, nxt, grad in zip(ws, nexts, step(ws, inputs, term)):
-                grad *= learning_rate
-                np.subtract(w, grad, out=nxt)
-        losses = score(terms, inputs)
-        stops = first_stops(losses, prev, tolerance, start + steps > max_steps)
+        s = min(steps, max_steps + 1 - start)
+        for (flat, weights), (nxt, _), term in zip(rows[:s], rows[1:], terms[:s, own]):
+            step(weights, inputs, term)
+            grad *= learning_rate
+            np.subtract(flat, grad, out=nxt)
+        losses = score(terms[:s], inputs)
+        stops = first_stops(losses, prev, tolerance, start + s > max_steps)
         for pos in running:
             histories[pos] += losses[: stops[pos] + 1, pos].tolist()
-            if stops[pos] < steps:
+            if stops[pos] < s:
                 results[order[pos]] = histories[pos], tuple(
-                    block[stops[pos], pos].copy() for block in blocks)
-        running = [pos for pos in running if stops[pos] == steps]
-        weights, prev, start = [block[-1] for block in blocks], losses[-1], start + steps
+                    w[pos].copy() for w in arrays(block[stops[pos]]))
+        running = [pos for pos in running if stops[pos] == s]
+        block[0] = block[s]
+        prev, start = losses[-1], start + s
     return results
 
 

@@ -4,10 +4,10 @@ multinomial logistic regression, and Gaussian naive Bayes."""
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,69 +225,106 @@ class LogisticModel:
         return self.weights.shape[1] - 1
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in `scores`, which it
-    returns. Chains of `np.maximum` and `np.add` over the class columns cost
-    less than `max` and `sum` on short rows and give their bits: a max is
-    exact in any order, and numpy sums a last axis shorter than 8 from left
-    to right (pairwise from 8 on, so `sum` stays there)."""
-    cols = [scores[..., j] for j in range(scores.shape[-1])]
-    scores -= functools.reduce(np.maximum, cols)[..., None]
+def _softmax_work(scores: np.ndarray) -> tuple:
+    """The buffers `_softmax_rows` works in for `scores`: its class columns,
+    and the row max and row sum, each with its (..., 1) view."""
+    peak, total = np.empty(scores.shape[:-1]), np.empty(scores.shape[:-1])
+    return (tuple(scores[..., j] for j in range(scores.shape[-1])),
+            peak, peak[..., None], total, total[..., None])
+
+
+def _softmax_rows(scores: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """Softmax over the last axis (at least two wide), computed in place in
+    `scores`, which it returns, through the buffers `work` of
+    `_softmax_work(scores)`. Chains of `np.maximum` and `np.add` over the
+    class columns cost less than `max` and `sum` on short rows and give
+    their bits: a max is exact in any order, and numpy sums a last axis
+    shorter than 8 from left to right (pairwise from 8 on, so `sum` stays
+    there)."""
+    cols, peak, peak_col, total, total_col = work or _softmax_work(scores)
+    np.maximum(cols[0], cols[1], out=peak)
+    for col in cols[2:]:
+        np.maximum(peak, col, out=peak)
+    scores -= peak_col
     np.exp(scores, out=scores)
-    scores /= (functools.reduce(np.add, cols) if len(cols) < 8 else scores.sum(axis=-1))[..., None]
+    if len(cols) < 8:
+        np.add(cols[0], cols[1], out=total)
+        for col in cols[2:]:
+            np.add(total, col, out=total)
+    else:
+        scores.sum(axis=-1, out=total)
+    scores /= total_col
     return scores
 
 
-def _logistic_step(w, inputs, picks):
+class _LogisticWork(NamedTuple):
+    """The arrays of `_logistic_step` for one stack or one train, built once
+    per fit by `_logistic_inputs`: its weight-independent inputs and the
+    buffers each step overwrites."""
+
+    design: np.ndarray  # [1 | X], padding rows all zero
+    onehot: np.ndarray  # one-hot labels
+    picked: np.ndarray  # flat index of each row's true-class probability
+    divisor: np.ndarray  # the row counts, (k, 1, 1) or (1, 1)
+    pad: np.ndarray | None  # `dataset.padding` mask of the padding rows
+    groups: list | None  # and its row-count runs
+    scores: np.ndarray  # class scores, then probabilities, then their errors
+    scores_t: np.ndarray  # its transposed view
+    softmax: tuple  # `_softmax_work(scores)`
+    grad: np.ndarray  # the gradient
+    pinned: np.ndarray  # its view of the last class's row
+
+
+def _logistic_step(w, work, picks):
     """The array work of one descent step at the weights `w`, (k, c, p+1)
-    for a stack or (c, p+1) for one train, from the `_logistic_inputs` of the
-    same layout: writes each row's true-class probability into `picks`,
-    shaped like the labels, and returns the gradient; the pinned last rows'
-    gradient is 0. A padding row adds exact zeros."""
-    design, onehot, picked, divisor, pad, _ = inputs
-    probs = _softmax_rows(design @ w.swapaxes(-1, -2))
-    probs.take(picked, out=picks, mode="clip")
-    probs -= onehot
+    for a stack or (c, p+1) for one train, in the `_logistic_inputs`
+    workspace `work` of the same layout: writes each row's true-class
+    probability into `picks`, shaped like the labels, and the gradient into
+    `work.grad`, whose pinned last rows are 0. A padding row adds exact
+    zeros."""
+    design, onehot, picked, divisor, pad, _, scores, scores_t, softmax, grad, pinned = work
+    np.matmul(design, w.swapaxes(-1, -2), out=scores)
+    _softmax_rows(scores, softmax)
+    scores.take(picked, out=picks, mode="clip")
+    scores -= onehot
     if pad is not None:
         # copyto, not a 0/1 product: a padding row's scores are NaN where a
         # weight is infinite, and NaN * 0 is NaN
-        np.copyto(probs, 0.0, where=pad)
+        np.copyto(scores, 0.0, where=pad)
     # both sides are at least two wide (c >= 2 classes, p + 1 >= 2 columns),
     # so numpy runs this as a BLAS matrix product, which adds each entry's
     # terms in row order: trailing zero rows change no bit (fit_mlp_stacked
     # has the one-wide case)
-    grad = probs.swapaxes(-1, -2) @ design
+    np.matmul(scores_t, design, out=grad)
     grad /= divisor
-    grad[..., -1, :] = 0.0
-    return grad
+    pinned.fill(0.0)
 
 
-def _logistic_losses(picks, inputs):
-    """The (s, k) mean cross-entropies of the k trains of a stack with
-    `_logistic_inputs` at s steps, from the (s, k, n) true-class
-    probabilities `_logistic_step` writes."""
-    divisor, groups = inputs[3], inputs[5]
+def _logistic_losses(picks, work):
+    """The (s, k) mean cross-entropies of the k trains of a stack with the
+    `_logistic_inputs` workspace `work` at s steps, from the (s, k, n)
+    true-class probabilities `_logistic_step` writes."""
     # a row sum over n then one division is bit for bit `np.mean` of that row
-    return -(own_row_sums(np.log(picks + 1e-300), groups) / divisor.reshape(-1))
+    return -(own_row_sums(np.log(picks + 1e-300), work.groups) / work.divisor.reshape(-1))
 
 
-def _logistic_kernel(w, *inputs):
+def _logistic_kernel(w, work):
     """Mean cross-entropy of each train (a (k,) array, (1,) for one train)
-    and the gradient at the weights `w`: one `_logistic_step`, scored."""
-    picks = np.empty(inputs[2].shape)
-    grad = _logistic_step(w, inputs, picks)
-    return _logistic_losses(picks.reshape(1, -1, picks.shape[-1]), inputs)[0], grad
+    and the gradient at the weights `w`: one `_logistic_step`, scored. The
+    gradient is `work.grad`, which the next step overwrites."""
+    picks = np.empty(work.picked.shape)
+    _logistic_step(w, work, picks)
+    return _logistic_losses(picks.reshape(1, -1, picks.shape[-1]), work)[0], work.grad
 
 
-def _logistic_inputs(features, labels, counts, n_classes):
-    """The weight-independent inputs of `_logistic_step` for a stack of
-    (k, n, p) features and (k, n) labels whose members have `counts` rows,
-    sorted longest first, or for one train's (n, p) features and (n,)
-    labels: the `[1 | X]` designs (padding rows all zero), the one-hot
-    labels, the flat index of each row's true-class probability, the row
-    counts as a (k, 1, 1) or (1, 1) divisor, and the padding rows' mask and
-    row-count runs of `dataset.padding`. Built once per stack."""
+def _logistic_inputs(features, labels, counts, grad):
+    """The `_logistic_step` workspace for a stack of (k, n, p) features and
+    (k, n) labels whose members have `counts` rows, sorted longest first,
+    or for one train's (n, p) features and (n,) labels, with the gradient
+    buffer `grad` of the weights' shape, (k, c, p+1) or (c, p+1). Built
+    once per fit."""
     pad, groups = padding(counts, labels.shape[-1])
+    n_classes = grad.shape[-2]
     design = np.concatenate([np.ones(labels.shape + (1,)), features], axis=-1)
     if pad is not None:
         np.copyto(design, 0.0, where=pad)
@@ -295,15 +332,19 @@ def _logistic_inputs(features, labels, counts, n_classes):
     onehot = np.zeros(labels.shape + (n_classes,))
     np.put(onehot, picked, 1.0)
     divisor = np.array(counts, dtype=np.float64).reshape(labels.shape[:-1] + (1, 1))
-    return design, onehot, picked, divisor, pad, groups
+    scores = np.empty(onehot.shape)
+    return _LogisticWork(design, onehot, picked, divisor, pad, groups, scores,
+                         scores.swapaxes(-1, -2), _softmax_work(scores), grad,
+                         grad[..., -1, :])
 
 
 def logistic_loss_and_gradient(weights, features, labels):
     """Mean cross-entropy and its gradient; the pinned last row's gradient is 0."""
     w = np.asarray(weights, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    inputs = _logistic_inputs(np.asarray(features, dtype=np.float64), y, [y.size], w.shape[0])
-    (loss,), grad = _logistic_kernel(w, *inputs)
+    work = _logistic_inputs(np.asarray(features, dtype=np.float64), y, [y.size],
+                            np.empty(w.shape))
+    (loss,), grad = _logistic_kernel(w, work)
     return float(loss), grad
 
 
@@ -351,8 +392,9 @@ def fit_logistic_stacked(
     c, p = datasets[live[0]].n_classes, datasets[live[0]].n_features
     fits = descend_stacked(
         [datasets[j] for j in live], [(np.zeros((c, p + 1)),)] * len(live),
-        lambda features, labels, counts: (_logistic_inputs(features, labels, counts, c), ()),
-        lambda weights, inputs, picks: (_logistic_step(weights[0], inputs, picks),),
+        lambda features, labels, counts, grads: (
+            _logistic_inputs(features, labels, counts, grads[0]), ()),
+        lambda weights, work, picks: _logistic_step(weights[0], work, picks),
         _logistic_losses, learning_rate, max_iter, tolerance)
     for j, (losses, (w,)) in zip(live, fits):
         it = len(losses) - 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import typing
@@ -120,6 +121,44 @@ def _decode(cls, record, plan=None):
     return cls(**kwargs)
 
 
+def _number_lines(values: list, indent: str) -> str | None:
+    """The items of `values`, a list of finite ints and floats or of equal
+    rows of them, as `json.dumps(..., indent=2)` writes them inside the
+    list's brackets at nesting `indent`, joined from `repr`s; None for any
+    other list."""
+    line = ",\n" + indent
+    kinds = set(map(type, values))
+    if kinds <= {int, float}:
+        text = line.join(map(repr, values))
+    elif (kinds == {list} and values[0] and len(set(map(len, values))) == 1
+          and set(map(type, itertools.chain.from_iterable(values))) <= {int, float}):
+        deeper = indent + "  "
+        row = "[\n" + deeper + (",\n" + deeper).join(["%r"] * len(values[0])) + "\n" + indent + "]"
+        text = line.join([row % tuple(items) for items in values])
+    else:
+        return None
+    # the repr of a non-finite float is nan, inf or -inf, where JSON writes
+    # NaN or Infinity; no finite number's repr holds an n
+    return None if "n" in text else indent + text
+
+
+def _indented_json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` of a value at nesting `indent`, byte for
+    byte. With an indent, `json` runs its pure-Python encoder; the model
+    arrays, lists of numbers or of their rows, are written here from joined
+    `repr`s instead, and everything else, down to its numbers, by `json`."""
+    inner = indent + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        return "{\n" + ",\n".join(f"{inner}{json.dumps(key)}: {_indented_json(item, inner)}"
+                                   for key, item in value.items()) + "\n" + indent + "}"
+    if type(value) is list and value:
+        text = _number_lines(value, inner) or ",\n".join(
+            inner + _indented_json(item, inner) for item in value)
+        return "[\n" + text + "\n" + indent + "]"
+    # no string JSON writes holds a raw newline, so this indents every line
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 @dataclass(frozen=True)
 class ModelBundle:
     algorithm: str
@@ -158,7 +197,7 @@ def save_model(path, algorithm: str, model, scaling: ScalingParams,
     bundle = ModelBundle(algorithm, tuple(feature_names), tuple(class_names), scaling, model)
     plan = _plan(ModelBundle, model=type(model))
     document = {"format": FORMAT_NAME, "version": FORMAT_VERSION, **_encode(bundle, plan)}
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_indented_json(document) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> ModelBundle:

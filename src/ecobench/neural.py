@@ -10,6 +10,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,68 +68,131 @@ class TrainTrace:
         return self.sse[-1] if self.sse else float("nan")
 
 
+def _sigmoid_in_place(h, e, den, mask):
+    """h <- sigmoid(h) through the buffers `e` and `den` (floats) and `mask`
+    (bools) of h's shape: with e = exp(-|h|) it is 1/(1+e) where h >= 0 and
+    e/(1+e) below, bit for bit `np.where(h >= 0, 1.0, e) / (1.0 + e)`."""
+    np.abs(h, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(h, 0.0, out=mask)
+    np.add(1.0, e, out=den)
+    np.copyto(e, 1.0, where=mask)
+    np.divide(e, den, out=h)
+
+
 def sigmoid(x):
     """Logistic function 1/(1+e^-x), saturating without overflow: with
     e = exp(-|x|) it is 1/(1+e) for x >= 0 and e/(1+e) below."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.array(x, dtype=np.float64)
+    _sigmoid_in_place(out, np.empty_like(out), np.empty_like(out), np.empty(out.shape, bool))
     return out if out.ndim else float(out)
 
 
-def _layers(x, w1, b1, w2, b2, pad=None):
-    """(hidden, outputs) of the network on rows `x`: sigmoid hidden units,
-    then their linear read-out. Works alike on (n, p) rows with 2-D weights
-    and on (k, n, p) stacks with (k, ...) weights; the hidden units of the
-    stack's padding rows `pad` (a `dataset.padding` mask) are zeros."""
-    hidden = x @ w1
+class _MlpWork(NamedTuple):
+    """The arrays of one network pass and backprop over rows `x`, (n, p) or
+    a (k, n, p) stack, built once per fit by `_mlp_work`: the inputs and the
+    buffers each pass overwrites."""
+
+    x: np.ndarray
+    xt: np.ndarray  # x's transposed view
+    pad: np.ndarray | None  # `dataset.padding` mask of the stack's padding rows
+    targets: np.ndarray | None  # one-hot targets of a fit
+    groups: list | None  # `dataset.padding` row-count runs of a fit
+    hidden: np.ndarray
+    hidden_t: np.ndarray  # its transposed view
+    e: np.ndarray  # `_sigmoid_in_place` buffers
+    den: np.ndarray
+    mask: np.ndarray
+    outputs: np.ndarray  # the outputs, then their errors
+    d_hidden: np.ndarray
+    slope: np.ndarray  # 1 - hidden
+    grads: tuple  # the gradients, in the order of the weights
+
+
+def _mlp_work(x, grads, pad=None, targets=None, groups=None) -> _MlpWork:
+    """The `_layers` and `_backprop` workspace for rows `x`, writing the
+    gradients into `grads`, arrays shaped like the weights (input_to_hidden,
+    hidden_bias, hidden_to_output, output_bias), biases as rows."""
+    q, c = grads[1].shape[-1], grads[3].shape[-1]
+    hidden = np.empty(x.shape[:-1] + (q,))
+    return _MlpWork(x, x.swapaxes(-1, -2), pad, targets, groups, hidden,
+                    hidden.swapaxes(-1, -2), np.empty_like(hidden), np.empty_like(hidden),
+                    np.empty(hidden.shape, bool), np.empty(x.shape[:-1] + (c,)),
+                    np.empty_like(hidden), np.empty_like(hidden), grads)
+
+
+def _layers(weights, work):
+    """(hidden, outputs) of the network with `weights` (input_to_hidden,
+    hidden_bias, hidden_to_output, output_bias) on the rows of `work`:
+    sigmoid hidden units, then their linear read-out, written into
+    `work.hidden` and `work.outputs`. Works alike on (n, p) rows with 2-D
+    weights and on (k, n, p) stacks with (k, ...) weights; the hidden units
+    of the stack's padding rows are zeros."""
+    w1, b1, w2, b2 = weights
+    hidden, outputs = work.hidden, work.outputs
+    np.matmul(work.x, w1, out=hidden)
     hidden += b1
-    hidden = sigmoid(hidden)
-    if pad is not None:
+    _sigmoid_in_place(hidden, work.e, work.den, work.mask)
+    if work.pad is not None:
         # copyto, not a 0/1 product: with an infinite input weight a padding
         # row's hidden unit is NaN (0 * inf), and NaN * 0 is NaN
-        np.copyto(hidden, 0.0, where=pad)
-    outputs = hidden @ w2
+        np.copyto(hidden, 0.0, where=work.pad)
+    np.matmul(hidden, w2, out=outputs)
     outputs += b2
     return hidden, outputs
 
 
-def _backprop(xt, hidden, d_out, w2t):
+def _backprop(w2, work):
     """Gradients of half the summed squared error in the order (input_to_hidden,
-    hidden_bias, hidden_to_output, output_bias), from the transposed inputs
-    `xt`, the hidden units and the output errors `d_out` of a `_layers` pass
-    and the transposed read-out weights `w2t`; biases keep their row axis.
-    Zero padding rows of `hidden` and `d_out` add exact zeros."""
-    d_hidden = d_out @ w2t
+    hidden_bias, hidden_to_output, output_bias), written into `work.grads`,
+    which it returns, from the read-out weights `w2` and the hidden units of
+    a `_layers` pass in `work` whose outputs now hold the output errors;
+    biases keep their row axis. Zero padding rows of the hidden units and
+    errors add exact zeros."""
+    d_hidden, d_out, hidden = work.d_hidden, work.outputs, work.hidden
+    g_w1, g_b1, g_w2, g_b2 = work.grads
+    np.matmul(d_out, w2.swapaxes(-1, -2), out=d_hidden)
     d_hidden *= hidden
-    d_hidden *= 1.0 - hidden
-    return (xt @ d_hidden, d_hidden.sum(axis=-2, keepdims=True),
-            hidden.swapaxes(-1, -2) @ d_out, d_out.sum(axis=-2, keepdims=True))
+    np.subtract(1.0, hidden, out=work.slope)
+    d_hidden *= work.slope
+    np.matmul(work.xt, d_hidden, out=g_w1)
+    np.add.reduce(d_hidden, axis=-2, keepdims=True, out=g_b1)
+    np.matmul(work.hidden_t, d_out, out=g_w2)
+    np.add.reduce(d_out, axis=-2, keepdims=True, out=g_b2)
+    return work.grads
+
+
+def _model_pass(model: MlpModel, x):
+    """A `_layers` pass of `model` over rows `x`: its weights, biases as
+    rows, and the pass's workspace, with gradient buffers of its own."""
+    weights = (model.input_to_hidden, model.hidden_bias[None], model.hidden_to_output,
+               model.output_bias[None])
+    work = _mlp_work(x, tuple(np.empty(w.shape) for w in weights))
+    _layers(weights, work)
+    return weights, work
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Network outputs: linear read-out of sigmoid hidden units."""
     rows, single = as_rows(x, model.n_features)
-    _, outputs = _layers(rows, model.input_to_hidden, model.hidden_bias,
-                         model.hidden_to_output, model.output_bias)
+    outputs = _model_pass(model, rows)[1].outputs
     return outputs[0] if single else outputs
 
 
 def mlp_loss(model: MlpModel, features, targets) -> float:
     """Half the summed squared output error over a batch."""
-    _, outputs = _layers(np.asarray(features, dtype=np.float64), model.input_to_hidden,
-                         model.hidden_bias, model.hidden_to_output, model.output_bias)
+    outputs = _model_pass(model, np.asarray(features, dtype=np.float64))[1].outputs
     return float(0.5 * ((outputs - np.asarray(targets, dtype=np.float64)) ** 2).sum())
 
 
 def mlp_gradients(model: MlpModel, features, targets):
     """Backpropagated gradients of `mlp_loss` in the order
     (input_to_hidden, hidden_bias, hidden_to_output, output_bias)."""
-    x = np.asarray(features, dtype=np.float64)
-    hidden, outputs = _layers(x, model.input_to_hidden, model.hidden_bias,
-                              model.hidden_to_output, model.output_bias)
-    g_in_w, g_in_b, g_out_w, g_out_b = _backprop(
-        x.T, hidden, outputs - np.asarray(targets, dtype=np.float64), model.hidden_to_output.T)
+    weights, work = _model_pass(model, np.asarray(features, dtype=np.float64))
+    d_out = work.outputs
+    d_out -= np.asarray(targets, dtype=np.float64)
+    g_in_w, g_in_b, g_out_w, g_out_b = _backprop(weights[2], work)
     return g_in_w, g_in_b[0], g_out_w, g_out_b[0]
 
 
@@ -149,27 +213,27 @@ def fit_mlp(
     return result
 
 
-def _mlp_inputs(x, labels, counts, n_classes):
-    """The weight-independent inputs of `_mlp_step` for stacked or one
-    train's rows and labels: the rows, their transpose, the one-hot targets
-    and `dataset.padding`; and the shape of one row's squared output errors."""
+def _mlp_inputs(x, labels, counts, grads):
+    """The `_mlp_step` workspace for stacked or one train's rows and labels,
+    with the gradient buffers `grads`, and the shape of one row's squared
+    output errors."""
+    n_classes = grads[3].shape[-1]
     targets = np.zeros(labels.shape + (n_classes,))
     np.put_along_axis(targets, labels[..., None], 1.0, axis=-1)
     pad, groups = padding(counts, labels.shape[-1])
-    return (x, x.swapaxes(-1, -2), targets, pad, groups), (n_classes,)
+    return _mlp_work(x, grads, pad, targets, groups), (n_classes,)
 
 
-def _mlp_step(weights, inputs, squares):
+def _mlp_step(weights, work, squares):
     """One epoch's array work: one forward pass scores the weights, writing
-    their squared output errors into `squares`, and feeds their gradients."""
-    x, xt, targets, pad, _ = inputs
-    w1, b1, w2, b2 = weights
-    hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
-    d_out -= targets
-    if pad is not None:
-        np.copyto(d_out, 0.0, where=pad)
+    their squared output errors into `squares`, and feeds their gradients,
+    written into `work.grads`."""
+    _, d_out = _layers(weights, work)
+    d_out -= work.targets
+    if work.pad is not None:
+        np.copyto(d_out, 0.0, where=work.pad)
     np.square(d_out, out=squares)
-    return _backprop(xt, hidden, d_out, w2.swapaxes(-1, -2))
+    _backprop(weights[2], work)
 
 
 def fit_mlp_stacked(
@@ -213,8 +277,7 @@ def fit_mlp_stacked(
     results = []
     for sses, (w1, b1, w2, b2) in descend_stacked(
             datasets, [starts[seed] for seed in seeds],
-            lambda x, labels, counts: _mlp_inputs(x, labels, counts, c), _mlp_step,
-            lambda squares, inputs: own_row_sums(squares, inputs[-1]),
+            _mlp_inputs, _mlp_step, lambda squares, work: own_row_sums(squares, work.groups),
             learning_rate, epochs, 1e-10):
         if not math.isfinite(sses[-1]):
             results.append(ValueError(

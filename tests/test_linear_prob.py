@@ -323,6 +323,22 @@ def test_logistic_loss_and_gradient_equal_inline_form():
         assert grad.tobytes() == expected_grad.tobytes()
 
 
+def test_logistic_gradient_outlives_a_later_call():
+    # each call steps in a workspace of its own, so a second call with other
+    # weights leaves the first call's gradient as it was
+    rng = np.random.default_rng(24)
+    x, y = rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)
+    first, second = rng.normal(size=(2, 3, 4))
+    first[-1] = second[-1] = 0.0
+    loss, grad = logistic_loss_and_gradient(first, x, y)
+    later_loss, later_grad = logistic_loss_and_gradient(second, x, y)
+    assert not np.shares_memory(grad, later_grad)
+    assert later_grad.tobytes() != grad.tobytes()
+    expected_loss, expected_grad = _loss_and_gradient_inline(first, x, y)
+    assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
 def _fit_logistic_stepwise(ds, learning_rate, max_iter, tolerance):
     """Reference descent loop: `logistic_loss_and_gradient` rebuilds the
     design matrix and one-hot labels on every iteration."""

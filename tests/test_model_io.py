@@ -22,7 +22,7 @@ from ecobench import (
 )
 from ecobench.cli import entry
 from ecobench.evaluation import algorithm_adapter, derive_seed, make_algorithm
-from ecobench.model_io import FORMAT_NAME, FORMAT_VERSION
+from ecobench.model_io import FORMAT_NAME, FORMAT_VERSION, _indented_json
 
 _CASES = {
     "DT": {},
@@ -45,6 +45,8 @@ def test_round_trip_preserves_predictions(tmp_path, name):
     model = adapter.fit(train, derive_seed(1, name, "fit"), spec.param_dict())
     path = tmp_path / f"{name}.json"
     save_model(path, spec.name, model, scaling, ds.feature_names, ds.class_names)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     bundle = load_model(path)
     assert bundle.algorithm == spec.name
@@ -381,6 +383,44 @@ def test_format_2_tree_bundles_load_predict_and_resave_unchanged(tmp_path, name)
     bundle = _load_and_predict("v2", name)
     original = json.loads((_DATA / "v2" / f"{name}.json").read_text(encoding="utf-8"))
     assert _resave(bundle, tmp_path / "again.json") == original
+
+
+@pytest.mark.parametrize("path", sorted(_DATA.glob("v*/*.json")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_saved_text_is_json_indent_2_byte_for_byte(path):
+    # every checked-in bundle was written by json.dumps(document, indent=2)
+    text = path.read_text(encoding="utf-8")
+    document = json.loads(text)
+    assert _indented_json(document) + "\n" == json.dumps(document, indent=2) + "\n" == text
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]))
+_JSON_LEAVES = st.one_of(
+    _JSON_NUMBERS, st.booleans(), st.none(), st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "é", "\u2028", "\ud800", "\U0001f600"]))
+# lists of numbers and equal rows of them, the lists `_indented_json` joins itself
+_JSON_ARRAYS = st.one_of(
+    st.lists(_JSON_NUMBERS, max_size=6),
+    st.lists(st.integers(-9, 9), max_size=6), st.lists(st.floats(allow_nan=False), max_size=6),
+    st.integers(0, 3).flatmap(lambda width: st.lists(
+        st.lists(_JSON_NUMBERS | st.booleans(), min_size=width, max_size=width), max_size=4)),
+    st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width,
+                 max_size=width), max_size=4)))
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES | _JSON_ARRAYS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(["", "\n", "é", '"']), inner,
+                      max_size=4),
+    max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_indented_json_equals_json_dumps_indent_2(document):
+    assert _indented_json(document) == json.dumps(document, indent=2)
 
 
 @pytest.mark.parametrize("name", ["DT", "RF"])

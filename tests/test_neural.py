@@ -15,6 +15,7 @@ from ecobench import (
     standardize,
     trace_csv,
 )
+from ecobench.neural import _sigmoid_in_place
 
 
 def _blob_dataset(seed, n_per=15, p=3, c=3, gap=4.0):
@@ -71,7 +72,7 @@ def _same_bits(got, expected):
 
 def test_sigmoid_is_bit_identical_to_two_branch_form():
     edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 1000.0, -1000.0,
-             np.inf, -np.inf, np.nan]
+             5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan]
     rng = np.random.default_rng(37)
     batches = [
         np.array(edges),
@@ -82,6 +83,11 @@ def test_sigmoid_is_bit_identical_to_two_branch_form():
     ]
     for x in batches:
         assert _same_bits(sigmoid(x), _sigmoid_two_branch(x))
+        # the step's path: in place, in buffers that hold a previous pass's values
+        h = x.copy()
+        e, den, mask = np.full(x.shape, np.nan), np.full(x.shape, -1.0), np.ones(x.shape, bool)
+        _sigmoid_in_place(h, e, den, mask)
+        assert _same_bits(h, _sigmoid_two_branch(x))
     for value in edges + list(rng.normal(scale=30.0, size=20)):
         got = sigmoid(value)
         assert type(got) is float

@@ -51,7 +51,7 @@ from ecobench.linear_prob import (
     _logistic_step,
     fit_logistic_stacked,
 )
-from ecobench.neural import _backprop, _layers, fit_mlp_stacked
+from ecobench.neural import _backprop, _layers, _mlp_work, fit_mlp_stacked
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -488,6 +488,41 @@ def _uneven_mlp_stack():
     return tables, [0, 5, 0, 1, 2], dict(q=2, epochs=4000, learning_rate=0.3)
 
 
+def _weight_arrays(results):
+    """Every weight array of the models among fit results."""
+    arrays = []
+    for result in results:
+        if isinstance(result, LogisticModel):
+            arrays.append(result.weights)
+        elif isinstance(result, tuple):
+            model = result[0]
+            arrays += [model.input_to_hidden, model.hidden_bias, model.hidden_to_output,
+                       model.output_bias]
+    return arrays
+
+
+def test_fitted_models_share_no_memory_with_each_other_or_a_later_fit():
+    # the descent loop steps in buffers it reuses from block to block and
+    # keeps while it runs; every model must own its weights
+    lr_tables, lr_params = _uneven_logistic_stack()
+    mlp_tables, seeds, mlp_params = _uneven_mlp_stack()
+    results = []
+    with _block_steps(4):
+        for _ in range(2):
+            results += _stacked(fit_logistic_stacked, lr_tables, **lr_params)
+            results += _stacked(fit_mlp_stacked, mlp_tables, seeds=seeds, **mlp_params)
+            results += [fit_logistic(lr_tables[0], **lr_params),
+                        fit_mlp(mlp_tables[0], seed=seeds[0], **mlp_params)]
+    arrays = _weight_arrays(results)
+    assert len(arrays) == 2 * (3 + 4 * 3 + 1 + 4)
+    for i, array in enumerate(arrays):
+        assert not any(np.shares_memory(array, other) for other in arrays[i + 1:])
+        # members hold disjoint parts of the loop's buffers, so a view of
+        # them would share no memory with another model: each array's memory
+        # must be its own
+        assert (array if array.base is None else array.base).nbytes == array.nbytes
+
+
 def test_ragged_logistic_members_leave_at_their_own_iteration():
     # each member stops with the bits of its own fit
     tables, params = _uneven_logistic_stack()
@@ -556,6 +591,11 @@ def test_one_row_mlp_members_get_their_lone_fit_bits(counts):
                 lambda: _fit_mlp_2d(table, seed=fit_seed, **params))
 
 
+def _buffers(*arrays):
+    """Gradient buffers shaped like the weight arrays `arrays`."""
+    return tuple(np.empty(a.shape) for a in arrays)
+
+
 def _kernel_tables():
     """Three tables of 30, 22 and 9 rows, longest first, as a stack is sorted."""
     return [_table(seed, n, 3, 3) for seed, n in ((1, 30), (2, 22), (3, 9))]
@@ -571,14 +611,15 @@ def test_logistic_kernel_padding_keeps_an_infinite_intercept_to_its_member():
     w[:, -1] = 0.0
     w[1, 0, 0] = -np.inf
     features, labels, counts = stack_datasets(tables)
-    inputs = _logistic_inputs(features, labels, counts, 3)
+    inputs = _logistic_inputs(features, labels, counts, np.empty(w.shape))
     with _quiet():
-        assert np.isnan(inputs[0][1] @ w[1].T).any()
-        losses, grad = _logistic_kernel(w, *inputs)
+        assert np.isnan(inputs.design[1] @ w[1].T).any()
+        losses, grad = _logistic_kernel(w, inputs)
     for i, table in enumerate(tables):
-        alone = _logistic_inputs(table.features[None], table.labels[None], [table.n_samples], 3)
+        alone = _logistic_inputs(table.features[None], table.labels[None], [table.n_samples],
+                                 np.empty((1,) + w.shape[1:]))
         with _quiet():
-            (loss,), lone_grad = _logistic_kernel(w[i][None], *alone)
+            (loss,), lone_grad = _logistic_kernel(w[i][None], alone)
         assert np.isfinite(loss) and np.isfinite(lone_grad).all()
         assert np.float64(losses[i]).tobytes() == np.float64(loss).tobytes()
         assert grad[i].tobytes() == lone_grad[0].tobytes()
@@ -598,16 +639,19 @@ def test_mlp_kernel_padding_keeps_an_infinite_input_weight_to_its_member():
     np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
     pad = np.arange(30)[None, :, None] >= np.array(counts)[:, None, None]
     with _quiet():
-        hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
+        work = _mlp_work(x, _buffers(w1, b1, w2, b2), pad)
+        hidden, d_out = _layers((w1, b1, w2, b2), work)
         d_out -= targets
         np.copyto(d_out, 0.0, where=pad)
-        grads = _backprop(x.swapaxes(-1, -2), hidden, d_out, w2.swapaxes(-1, -2))
+        grads = _backprop(w2, work)
     for i, table in enumerate(tables):
         n = table.n_samples
+        weights = (w1[i], b1[i], w2[i], b2[i])
         with _quiet():
-            lone_hidden, lone_d_out = _layers(table.features, w1[i], b1[i], w2[i], b2[i])
+            lone = _mlp_work(table.features, _buffers(*weights))
+            lone_hidden, lone_d_out = _layers(weights, lone)
             lone_d_out -= targets[i, :n]
-            lone_grads = _backprop(table.features.T, lone_hidden, lone_d_out, w2[i].T)
+            lone_grads = _backprop(w2[i], lone)
         assert np.isfinite(lone_d_out).all()
         assert hidden[i, :n].tobytes() == lone_hidden.tobytes()
         assert d_out[i, :n].tobytes() == lone_d_out.tobytes()
@@ -690,14 +734,15 @@ def _per_step_logistic(datasets, learning_rate=0.1, max_iter=5000, tolerance=1e-
     live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
     features, labels, counts = stack_datasets([datasets[j] for j in live])
     c, p = datasets[0].n_classes, features.shape[2]
-    inputs = _logistic_inputs(features, labels, counts, c)
-    results = [None] * len(datasets)
     w = np.zeros((len(live), c, p + 1))
+    inputs = _logistic_inputs(features, labels, counts, np.empty(w.shape))
+    results = [None] * len(datasets)
     histories = [[] for _ in live]
     prev = [math.inf] * len(live)
     for it in range(max_iter + 1):
         picks = np.empty(labels.shape)
-        grad = _logistic_step(w, inputs, picks)
+        _logistic_step(w, inputs, picks)
+        grad = inputs.grad
         losses = [-(float(np.log(picks[pos, :n] + 1e-300).sum()) / n)
                   for pos, n in enumerate(counts)]
         keep = []
@@ -719,7 +764,7 @@ def _per_step_logistic(datasets, learning_rate=0.1, max_iter=5000, tolerance=1e-
         losses = [losses[pos] for pos in keep]
         counts = [counts[pos] for pos in keep]
         w, grad, features, labels = w[keep], grad[keep], features[keep], labels[keep]
-        inputs = _logistic_inputs(features, labels, counts, c)
+        inputs = _logistic_inputs(features, labels, counts, np.empty(w.shape))
         w = w - learning_rate * grad
         prev = losses
     return results
@@ -756,7 +801,8 @@ def _per_step_mlp(datasets, seeds, q=5, epochs=2000, learning_rate=0.01, init_sc
     prev = [math.inf] * k
     traces = [[] for _ in live]
     for epoch in range(epochs + 1):
-        hidden, d_out = _layers(x, w1, b1, w2, b2, pad)
+        work = _mlp_work(x, _buffers(w1, b1, w2, b2), pad)
+        hidden, d_out = _layers((w1, b1, w2, b2), work)
         d_out -= targets
         if pad is not None:
             np.copyto(d_out, 0.0, where=pad)
@@ -792,8 +838,10 @@ def _per_step_mlp(datasets, seeds, q=5, epochs=2000, learning_rate=0.01, init_sc
             w1, b1, w2, b2, x, targets, hidden, d_out = (
                 arr[keep] for arr in (w1, b1, w2, b2, x, targets, hidden, d_out))
             pad = padding(counts, n)[0]
+            work = _mlp_work(x, _buffers(w1, b1, w2, b2), pad)
+            work.hidden[...], work.outputs[...] = hidden, d_out
         prev = sses
-        grads = _backprop(x.swapaxes(-1, -2), hidden, d_out, w2.swapaxes(-1, -2))
+        grads = _backprop(w2, work)
         w1, b1, w2, b2 = (w - learning_rate * g for w, g in zip((w1, b1, w2, b2), grads))
     return results
 
