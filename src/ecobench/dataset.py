@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -458,12 +459,23 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
     """Write the dataset as UTF-8 CSV with features at 17 significant digits."""
     if label_column in ds.feature_names:
         raise ValueError(f"label column name {label_column!r} collides with a feature name")
-    path = Path(path)
+    # csv.writer quotes the header, and each class name as a row's last
+    # cell; "%.17g" cells never need quoting
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow([*ds.feature_names, label_column])
+    header = buffer.getvalue()
+    names = []
+    for name in ds.class_names:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(["", name])
+        names.append(buffer.getvalue()[1:-2])  # without the comma before it and the "\r\n"
+    row = ",".join(["%.17g"] * ds.n_features) + ",%s\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_column])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [ds.class_names[label]])
+        fh.write(header)
+        fh.writelines(row % (*values, names[label])
+                      for values, label in zip(ds.features.tolist(), ds.labels.tolist()))
 
 
 def standardize(ds: Dataset) -> tuple[Dataset, ScalingParams]:
@@ -509,11 +521,17 @@ def generate_ecological(spec: SyntheticSpec) -> Dataset:
     """Synthesize a seabed-style table from seeded class-conditional normal draws."""
     if spec.n_per_class <= 0:
         raise ValueError(f"n_per_class must be positive, got {spec.n_per_class}")
+    seed = operator.index(spec.seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     means = np.array(_DEFAULT_CLASS_MEANS, dtype=np.float64)
     center = means.mean(axis=0)
-    means = center + spec.separation * (means - center)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = center + spec.separation * (means - center)
+    if not np.isfinite(means).all():
+        raise ValueError(f"separation must keep the class means finite, got {spec.separation}")
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     blocks = []
     for mean in means:
         draw = rng.normal(mean, _DEFAULT_SPREADS, size=(spec.n_per_class, means.shape[1]))

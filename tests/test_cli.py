@@ -528,6 +528,37 @@ def test_fit_whose_loss_overflows_prints_one_error_line(tmp_path, algorithm, par
     assert done.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--synthetic", "--separation", "inf"],
+     "separation must keep the class means finite, got inf"),
+    (["bench", "--synthetic", "--separation", "nan"],
+     "separation must keep the class means finite, got nan"),
+    (["gen-data", "--separation", "1e308"],
+     "separation must keep the class means finite, got 1e+308"),
+    (["bench", "--synthetic", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    (["gen-data", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+])
+def test_synthetic_table_rejects_a_bad_field_in_one_error_line(tmp_path, argv, message):
+    # a child process, so that a numpy warning would reach stderr as it does for a user
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "ecobench.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_bench_on_a_table_takes_a_negative_seed(tmp_path, capsys):
+    data = _gen(tmp_path)
+    out = tmp_path / "r.json"
+    assert entry(["bench", "--data", str(data), "--seed", "-1", "--algorithms", "LDA,NB",
+                  "--processes", "I,III", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["seed"] == -1
+
+
 def test_csv_with_a_byte_order_mark_reads_like_one_without(tmp_path, capsys):
     data = _gen(tmp_path)
     lines = data.read_text(encoding="utf-8").splitlines()

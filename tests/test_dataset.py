@@ -1,7 +1,14 @@
 """Dataset container, CSV round trips, scaling, splitting and synthesis."""
 
+import csv
+import io
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecobench import (
     ECO_FEATURE_NAMES,
@@ -119,6 +126,44 @@ def test_load_csv_error_reporting(tmp_path):
     with pytest.raises(ValueError) as caught:
         load_csv(huge, "label")
     assert str(caught.value).startswith(f"{huge}: field larger than field limit")
+
+
+def _save_csv_reference(ds, label_column):
+    """The bytes save_csv writes, one csv.writer row per data row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(list(ds.feature_names) + [label_column])
+    for row, label in zip(ds.features, ds.labels):
+        writer.writerow([f"{v:.17g}" for v in row] + [ds.class_names[label]])
+    return buffer.getvalue().encode("utf-8")
+
+
+# names with commas, quotes, CR/LF, leading spaces, non-ASCII and the empty string
+_CSV_NAMES = st.text(alphabet=' a,"\r\né', max_size=4)
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0**53, 1e16, 0.1]),
+    st.integers(-10**6, 10**6).map(float),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_save_csv_writes_the_bytes_of_one_csv_writer_row_per_row(tmp_path, data):
+    n = data.draw(st.integers(1, 6), label="rows")
+    p = data.draw(st.integers(1, 4), label="features")
+    feature_names = data.draw(st.lists(_CSV_NAMES, min_size=p, max_size=p), label="feature names")
+    label_column = data.draw(_CSV_NAMES.filter(lambda name: name not in feature_names),
+                             label="label column")
+    class_names = data.draw(st.lists(_CSV_NAMES, min_size=2, max_size=4), label="class names")
+    values = data.draw(st.lists(_CSV_VALUES, min_size=n * p, max_size=n * p), label="values")
+    labels = data.draw(st.lists(st.integers(0, len(class_names) - 1), min_size=n, max_size=n),
+                       label="labels")
+    ds = Dataset(np.array(values).reshape(n, p), labels, feature_names, class_names)
+    path = tmp_path / "data.csv"
+    save_csv(ds, path, label_column=label_column)
+    assert path.read_bytes() == _save_csv_reference(ds, label_column)
 
 
 def test_save_csv_rejects_label_name_collision(tmp_path):
@@ -313,3 +358,13 @@ def test_generate_ecological_separation_scales_mean_gaps():
 def test_generate_ecological_validation():
     with pytest.raises(ValueError, match="n_per_class"):
         generate_ecological(SyntheticSpec(n_per_class=0))
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+        generate_ecological(SyntheticSpec(seed=-1))
+    with pytest.raises(TypeError):
+        generate_ecological(SyntheticSpec(seed=1.5))
+    # a RuntimeWarning from the scaled means would fail here too
+    for separation, shown in [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                              (1e308, "1e+308")]:
+        with pytest.raises(ValueError, match=f"^separation must keep the class means finite, "
+                                             f"got {re.escape(shown)}$"):
+            generate_ecological(SyntheticSpec(separation=separation))
