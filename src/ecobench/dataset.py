@@ -203,41 +203,33 @@ def first_stops(losses: np.ndarray, prev: np.ndarray, tolerance: float, capped: 
 
 # a diverging fit's overflow ends it as a non-finite loss, without a warning
 @np.errstate(over="ignore", invalid="ignore")
-def descend_stacked(datasets, starts, prepare, step, score, learning_rate: float,
-                    max_steps: int, tolerance: float):
+def descend_stacked(datasets, starts, prepare, learning_rate: float, max_steps: int,
+                    tolerance: float):
     """Full-batch gradient descent on each of several datasets of one feature
     and class count, of any row counts, in one loop: the fit of logistic
     regression and of the network. Returns, per dataset in order, its losses
     at steps 0 to its stop and its weights at that step, a tuple of arrays
     like its `starts` entry.
 
-    The datasets are stacked longest first (`stack_datasets`), and so are
-    their start weights. The weights of one step are one flat vector, laid
-    out array by array: every member's first array, then every member's
-    second, and so on, each a contiguous (k, ...) view of it. A stack of one
-    steps on its dataset's own 2-D rows and its own 2-D weight views, whose
-    products cost less per call.
+    The datasets and their start weights are stacked longest first
+    (`stack_datasets`). One step's weights are one flat vector holding every
+    member's first array, then every member's second, and so on, each a
+    contiguous (k, ...) view; a stack of one steps on 2-D rows and weights.
 
-    `prepare(features, labels, counts, grads)` is called once per call with
-    the stack's rows and the views of one flat gradient vector laid out like
-    the weights; it returns the step's workspace, with every buffer a step
-    needs, and the trailing shape of one row's loss terms. Step i calls
-    `step(weights, workspace, terms)`, which writes the loss terms of the
-    weights into `terms` and their gradients into `grads`, and every
-    intermediate into the workspace, allocating nothing: each buffer is
-    overwritten by the next step. The next weights are then w -
+    `prepare(features, labels, counts, grads)` is called once, with the
+    stack's rows and the views of one flat gradient vector laid out like the
+    weights. It builds every buffer a step needs and returns `step(weights,
+    terms)`, which writes the loss terms of the weights into `terms` and
+    their gradients into `grads`, allocating nothing; `score(terms)`, which
+    turns the (s, k, n, ...) terms of s steps into (s, k) losses; and the
+    trailing shape of one row's terms. The next weights are w -
     learning_rate * gradient, in two operations on the flat vectors.
 
-    Steps run in blocks of `BLOCK_STEPS`, in one weight buffer and one loss
-    terms buffer allocated once per call. At a block's end `score(terms,
-    workspace)` turns the (s, k, n, ...) terms of its s steps into (s, k)
-    losses, and `first_stops` finds where each member stops: at a non-finite
+    Steps run in blocks of `BLOCK_STEPS` in buffers allocated once. After
+    each block `first_stops` finds where each member stops: at a non-finite
     loss, a settled one (a nonnegative improvement below `tolerance`) or
-    step `max_steps`. A member's weights at its stop are copied out of the
-    buffer, which the next block overwrites. A member that stops keeps its
-    place in the stack, and the steps it takes after its stop are thrown
-    away; the loop ends once every member has stopped. No member's steps
-    change another's bits.
+    step `max_steps`. A stopped member keeps its place, its later steps are
+    thrown away, and no member's steps change another's bits.
     """
     order = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
     features, labels, counts = stack_datasets([datasets[j] for j in order])
@@ -256,8 +248,8 @@ def descend_stacked(datasets, starts, prepare, step, score, learning_rate: float
     block[0] = np.concatenate([np.stack(arrs).ravel()
                                for arrs in zip(*(starts[j] for j in order))])
     grad = np.empty(bounds[-1])
-    inputs, tail = prepare(features[own], labels[own], counts,
-                           tuple(g[own] for g in arrays(grad)))
+    step, score, tail = prepare(features[own], labels[own], counts,
+                                tuple(g[own] for g in arrays(grad)))
     terms = np.empty((steps,) + labels.shape + tail)
     rows = [(flat, tuple(w[own] for w in arrays(flat))) for flat in block]
     histories = [[] for _ in order]
@@ -267,10 +259,10 @@ def descend_stacked(datasets, starts, prepare, step, score, learning_rate: float
     while running:
         s = min(steps, max_steps + 1 - start)
         for (flat, weights), (nxt, _), term in zip(rows[:s], rows[1:], terms[:s, own]):
-            step(weights, inputs, term)
+            step(weights, term)
             grad *= learning_rate
             np.subtract(flat, grad, out=nxt)
-        losses = score(terms[:s], inputs)
+        losses = score(terms[:s])
         stops = first_stops(losses, prev, tolerance, start + s > max_steps)
         for pos in running:
             histories[pos] += losses[: stops[pos] + 1, pos].tolist()

@@ -7,7 +7,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -135,29 +134,37 @@ def fit_lda(ds: Dataset) -> LdaModel:
     )
 
 
-def lda_score(model: LdaModel, direction, class_i: int, class_j: int) -> float:
-    """Separation of two classes along a direction: squared projected mean
-    difference over projected pooled variance; invariant to direction scale."""
+def _direction(model: LdaModel, direction) -> np.ndarray:
+    """`direction` as a float vector: a ValueError unless it is nonzero and
+    holds one entry per feature of `model`."""
     beta = np.asarray(direction, dtype=np.float64).reshape(-1)
     if beta.size != model.n_features:
         raise ValueError(f"expected {model.n_features} direction entries, got {beta.size}")
     if not np.any(beta != 0):
         raise ValueError("direction must be nonzero")
+    return beta
+
+
+def _mean_difference(model: LdaModel, class_i: int, class_j: int) -> np.ndarray:
+    """Class i's mean less class j's: a ValueError unless both index a class."""
     c = model.n_classes
     if not (0 <= class_i < c and 0 <= class_j < c):
         raise ValueError(f"class indices must be in [0, {c})")
-    diff = model.class_means[class_i] - model.class_means[class_j]
+    return model.class_means[class_i] - model.class_means[class_j]
+
+
+def lda_score(model: LdaModel, direction, class_i: int, class_j: int) -> float:
+    """Separation of two classes along a direction: squared projected mean
+    difference over projected pooled variance; invariant to direction scale."""
+    beta = _direction(model, direction)
+    diff = _mean_difference(model, class_i, class_j)
     return float((beta @ diff) ** 2 / (beta @ model.pooled_covariance @ beta))
 
 
 def fisher_score(model: LdaModel, direction) -> float:
     """All-class separation ratio (between-class over within-class projected
     variance); the first discriminant axis maximizes this quantity."""
-    beta = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if beta.size != model.n_features:
-        raise ValueError(f"expected {model.n_features} direction entries, got {beta.size}")
-    if not np.any(beta != 0):
-        raise ValueError("direction must be nonzero")
+    beta = _direction(model, direction)
     overall = model.priors @ model.class_means
     projected = (model.class_means - overall) @ beta
     between = float((model.priors * projected**2).sum())
@@ -167,10 +174,7 @@ def fisher_score(model: LdaModel, direction) -> float:
 def mahalanobis_sq(model: LdaModel, class_i: int, class_j: int) -> float:
     """Squared Mahalanobis distance between two class means under the pooled
     covariance metric."""
-    c = model.n_classes
-    if not (0 <= class_i < c and 0 <= class_j < c):
-        raise ValueError(f"class indices must be in [0, {c})")
-    diff = model.class_means[class_i] - model.class_means[class_j]
+    diff = _mean_difference(model, class_i, class_j)
     return float(diff @ np.linalg.solve(model.pooled_covariance, diff))
 
 
@@ -257,95 +261,68 @@ def _softmax_rows(scores: np.ndarray, work: tuple | None = None) -> np.ndarray:
     return scores
 
 
-class _LogisticWork(NamedTuple):
-    """The arrays of `_logistic_step` for one stack or one train, built once
-    per fit by `_logistic_inputs`: its weight-independent inputs and the
-    buffers each step overwrites."""
+def _logistic_descent(features, labels, counts, grads):
+    """The `dataset.descend_stacked` step of logistic regression for a stack
+    of (k, n, p) features and (k, n) labels whose members have `counts`
+    rows, sorted longest first, or for one train's (n, p) features and (n,)
+    labels, writing the gradient into `grads[0]`, shaped like the weights,
+    (k, c, p+1) or (c, p+1). Its buffers are built once; it returns:
 
-    design: np.ndarray  # [1 | X], padding rows all zero
-    onehot: np.ndarray  # one-hot labels
-    picked: np.ndarray  # flat index of each row's true-class probability
-    divisor: np.ndarray  # the row counts, (k, 1, 1) or (1, 1)
-    pad: np.ndarray | None  # `dataset.padding` mask of the padding rows
-    groups: list | None  # and its row-count runs
-    scores: np.ndarray  # class scores, then probabilities, then their errors
-    scores_t: np.ndarray  # its transposed view
-    softmax: tuple  # `_softmax_work(scores)`
-    grad: np.ndarray  # the gradient
-    pinned: np.ndarray  # its view of the last class's row
-
-
-def _logistic_step(w, work, picks):
-    """The array work of one descent step at the weights `w`, (k, c, p+1)
-    for a stack or (c, p+1) for one train, in the `_logistic_inputs`
-    workspace `work` of the same layout: writes each row's true-class
-    probability into `picks`, shaped like the labels, and the gradient into
-    `work.grad`, whose pinned last rows are 0. A padding row adds exact
-    zeros."""
-    design, onehot, picked, divisor, pad, _, scores, scores_t, softmax, grad, pinned = work
-    np.matmul(design, w.swapaxes(-1, -2), out=scores)
-    _softmax_rows(scores, softmax)
-    scores.take(picked, out=picks, mode="clip")
-    scores -= onehot
-    if pad is not None:
-        # copyto, not a 0/1 product: a padding row's scores are NaN where a
-        # weight is infinite, and NaN * 0 is NaN
-        np.copyto(scores, 0.0, where=pad)
-    # both sides are at least two wide (c >= 2 classes, p + 1 >= 2 columns),
-    # so numpy runs this as a BLAS matrix product, which adds each entry's
-    # terms in row order: trailing zero rows change no bit (fit_mlp_stacked
-    # has the one-wide case)
-    np.matmul(scores_t, design, out=grad)
-    grad /= divisor
-    pinned.fill(0.0)
-
-
-def _logistic_losses(picks, work):
-    """The (s, k) mean cross-entropies of the k trains of a stack with the
-    `_logistic_inputs` workspace `work` at s steps, from the (s, k, n)
-    true-class probabilities `_logistic_step` writes."""
-    # a row sum over n then one division is bit for bit `np.mean` of that row
-    return -(own_row_sums(np.log(picks + 1e-300), work.groups) / work.divisor.reshape(-1))
-
-
-def _logistic_kernel(w, work):
-    """Mean cross-entropy of each train (a (k,) array, (1,) for one train)
-    and the gradient at the weights `w`: one `_logistic_step`, scored. The
-    gradient is `work.grad`, which the next step overwrites."""
-    picks = np.empty(work.picked.shape)
-    _logistic_step(w, work, picks)
-    return _logistic_losses(picks.reshape(1, -1, picks.shape[-1]), work)[0], work.grad
-
-
-def _logistic_inputs(features, labels, counts, grad):
-    """The `_logistic_step` workspace for a stack of (k, n, p) features and
-    (k, n) labels whose members have `counts` rows, sorted longest first,
-    or for one train's (n, p) features and (n,) labels, with the gradient
-    buffer `grad` of the weights' shape, (k, c, p+1) or (c, p+1). Built
-    once per fit."""
+    - `step(weights, picks)`, which writes each row's true-class probability
+      at `weights[0]` into `picks`, shaped like the labels, and the gradient,
+      whose pinned last rows are 0; a padding row adds exact zeros;
+    - `score(picks)`, the (s, k) mean cross-entropies of the (s, k, n) picks
+      of s steps;
+    - the trailing shape of one row's picks, ().
+    """
+    (grad,) = grads
     pad, groups = padding(counts, labels.shape[-1])
     n_classes = grad.shape[-2]
-    design = np.concatenate([np.ones(labels.shape + (1,)), features], axis=-1)
+    design = np.concatenate([np.ones(labels.shape + (1,)), features], axis=-1)  # [1 | X]
     if pad is not None:
         np.copyto(design, 0.0, where=pad)
     picked = np.arange(labels.size).reshape(labels.shape) * n_classes + labels
     onehot = np.zeros(labels.shape + (n_classes,))
     np.put(onehot, picked, 1.0)
     divisor = np.array(counts, dtype=np.float64).reshape(labels.shape[:-1] + (1, 1))
+    # class scores, then probabilities, then their errors
     scores = np.empty(onehot.shape)
-    return _LogisticWork(design, onehot, picked, divisor, pad, groups, scores,
-                         scores.swapaxes(-1, -2), _softmax_work(scores), grad,
-                         grad[..., -1, :])
+    scores_t, softmax, pinned = scores.swapaxes(-1, -2), _softmax_work(scores), grad[..., -1, :]
+
+    def step(weights, picks):
+        np.matmul(design, weights[0].swapaxes(-1, -2), out=scores)
+        _softmax_rows(scores, softmax)
+        scores.take(picked, out=picks, mode="clip")
+        np.subtract(scores, onehot, out=scores)
+        if pad is not None:
+            # copyto, not a 0/1 product: a padding row's scores are NaN where
+            # a weight is infinite, and NaN * 0 is NaN
+            np.copyto(scores, 0.0, where=pad)
+        # both sides are at least two wide (c >= 2 classes, p + 1 >= 2
+        # columns), so numpy runs this as a BLAS matrix product, which adds
+        # each entry's terms in row order: trailing zero rows change no bit
+        # (fit_mlp_stacked has the one-wide case)
+        np.matmul(scores_t, design, out=grad)
+        np.divide(grad, divisor, out=grad)
+        pinned.fill(0.0)
+
+    def score(picks):
+        # a row sum over n then one division is bit for bit `np.mean` of that row
+        return -(own_row_sums(np.log(picks + 1e-300), groups) / divisor.reshape(-1))
+
+    return step, score, ()
 
 
 def logistic_loss_and_gradient(weights, features, labels):
     """Mean cross-entropy and its gradient; the pinned last row's gradient is 0."""
     w = np.asarray(weights, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    work = _logistic_inputs(np.asarray(features, dtype=np.float64), y, [y.size],
-                            np.empty(w.shape))
-    (loss,), grad = _logistic_kernel(w, work)
-    return float(loss), grad
+    grad = np.empty(w.shape)
+    step, score, _ = _logistic_descent(np.asarray(features, dtype=np.float64), y, [y.size],
+                                       (grad,))
+    picks = np.empty(y.shape)
+    step((w,), picks)
+    return float(score(picks.reshape(1, 1, -1))[0, 0]), grad
 
 
 def fit_logistic(
@@ -390,12 +367,8 @@ def fit_logistic_stacked(
     if not live:
         return tuple(results)
     c, p = datasets[live[0]].n_classes, datasets[live[0]].n_features
-    fits = descend_stacked(
-        [datasets[j] for j in live], [(np.zeros((c, p + 1)),)] * len(live),
-        lambda features, labels, counts, grads: (
-            _logistic_inputs(features, labels, counts, grads[0]), ()),
-        lambda weights, work, picks: _logistic_step(weights[0], work, picks),
-        _logistic_losses, learning_rate, max_iter, tolerance)
+    fits = descend_stacked([datasets[j] for j in live], [(np.zeros((c, p + 1)),)] * len(live),
+                           _logistic_descent, learning_rate, max_iter, tolerance)
     for j, (losses, (w,)) in zip(live, fits):
         it = len(losses) - 1
         if not math.isfinite(losses[-1]):

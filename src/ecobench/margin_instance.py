@@ -28,8 +28,8 @@ class KernelSpec:
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"kernel kind must be 'linear' or 'rbf', got {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError(f"rbf kernel needs gamma > 0, got {self.gamma}")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ValueError(f"rbf kernel needs a finite gamma > 0, got {self.gamma}")
         elif self.gamma is not None:
             raise ValueError("linear kernel takes no gamma")
 
@@ -114,8 +114,9 @@ def fit_svm_binary(
     Class 0 maps to +1 and class 1 to -1. Hitting the iteration cap returns a
     model flagged `converged=False` instead of raising.
     """
-    if cost <= 0:
-        raise ValueError(f"cost must be positive, got {cost}")
+    for name, value in (("cost", cost), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
     labels = ds2.labels
     present = np.unique(labels)
     if present.size != 2 or ds2.n_classes != 2:

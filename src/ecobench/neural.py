@@ -10,7 +10,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,110 +88,88 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-class _MlpWork(NamedTuple):
-    """The arrays of one network pass and backprop over rows `x`, (n, p) or
-    a (k, n, p) stack, built once per fit by `_mlp_work`: the inputs and the
-    buffers each pass overwrites."""
+def _network(x, grads, pad=None):
+    """The passes of the network over rows `x`, (n, p) with 2-D weights or a
+    (k, n, p) stack with (k, ...) weights whose padding rows the
+    `dataset.padding` mask `pad` marks, in buffers built once:
 
-    x: np.ndarray
-    xt: np.ndarray  # x's transposed view
-    pad: np.ndarray | None  # `dataset.padding` mask of the stack's padding rows
-    targets: np.ndarray | None  # one-hot targets of a fit
-    groups: list | None  # `dataset.padding` row-count runs of a fit
-    hidden: np.ndarray
-    hidden_t: np.ndarray  # its transposed view
-    e: np.ndarray  # `_sigmoid_in_place` buffers
-    den: np.ndarray
-    mask: np.ndarray
-    outputs: np.ndarray  # the outputs, then their errors
-    d_hidden: np.ndarray
-    slope: np.ndarray  # 1 - hidden
-    grads: tuple  # the gradients, in the order of the weights
+    - `layers(weights)` returns the (hidden, outputs) of the weights
+      (input_to_hidden, hidden_bias, hidden_to_output, output_bias): sigmoid
+      hidden units, then their linear read-out. Padding rows' hidden units
+      are zeros.
+    - `backprop(w2)` returns `grads`, arrays shaped like the weights, biases
+      as rows, into which it writes the gradients of half the summed squared
+      error, from the read-out weights `w2` and the hidden units of the last
+      `layers` pass, whose outputs now hold the output errors. Zero padding
+      rows of the hidden units and errors add exact zeros.
 
-
-def _mlp_work(x, grads, pad=None, targets=None, groups=None) -> _MlpWork:
-    """The `_layers` and `_backprop` workspace for rows `x`, writing the
-    gradients into `grads`, arrays shaped like the weights (input_to_hidden,
-    hidden_bias, hidden_to_output, output_bias), biases as rows."""
+    Each pass overwrites the arrays the last one returned."""
     q, c = grads[1].shape[-1], grads[3].shape[-1]
+    xt = x.swapaxes(-1, -2)
     hidden = np.empty(x.shape[:-1] + (q,))
-    return _MlpWork(x, x.swapaxes(-1, -2), pad, targets, groups, hidden,
-                    hidden.swapaxes(-1, -2), np.empty_like(hidden), np.empty_like(hidden),
-                    np.empty(hidden.shape, bool), np.empty(x.shape[:-1] + (c,)),
-                    np.empty_like(hidden), np.empty_like(hidden), grads)
+    hidden_t = hidden.swapaxes(-1, -2)
+    e, den = np.empty_like(hidden), np.empty_like(hidden)  # `_sigmoid_in_place` buffers
+    mask = np.empty(hidden.shape, bool)
+    outputs = np.empty(x.shape[:-1] + (c,))  # the outputs, then their errors
+    d_hidden, slope = np.empty_like(hidden), np.empty_like(hidden)
+    g_w1, g_b1, g_w2, g_b2 = grads
 
+    def layers(weights):
+        w1, b1, w2, b2 = weights
+        np.matmul(x, w1, out=hidden)
+        np.add(hidden, b1, out=hidden)
+        _sigmoid_in_place(hidden, e, den, mask)
+        if pad is not None:
+            # copyto, not a 0/1 product: with an infinite input weight a
+            # padding row's hidden unit is NaN (0 * inf), and NaN * 0 is NaN
+            np.copyto(hidden, 0.0, where=pad)
+        np.matmul(hidden, w2, out=outputs)
+        np.add(outputs, b2, out=outputs)
+        return hidden, outputs
 
-def _layers(weights, work):
-    """(hidden, outputs) of the network with `weights` (input_to_hidden,
-    hidden_bias, hidden_to_output, output_bias) on the rows of `work`:
-    sigmoid hidden units, then their linear read-out, written into
-    `work.hidden` and `work.outputs`. Works alike on (n, p) rows with 2-D
-    weights and on (k, n, p) stacks with (k, ...) weights; the hidden units
-    of the stack's padding rows are zeros."""
-    w1, b1, w2, b2 = weights
-    hidden, outputs = work.hidden, work.outputs
-    np.matmul(work.x, w1, out=hidden)
-    hidden += b1
-    _sigmoid_in_place(hidden, work.e, work.den, work.mask)
-    if work.pad is not None:
-        # copyto, not a 0/1 product: with an infinite input weight a padding
-        # row's hidden unit is NaN (0 * inf), and NaN * 0 is NaN
-        np.copyto(hidden, 0.0, where=work.pad)
-    np.matmul(hidden, w2, out=outputs)
-    outputs += b2
-    return hidden, outputs
+    def backprop(w2):
+        np.matmul(outputs, w2.swapaxes(-1, -2), out=d_hidden)
+        np.multiply(d_hidden, hidden, out=d_hidden)
+        np.subtract(1.0, hidden, out=slope)
+        np.multiply(d_hidden, slope, out=d_hidden)
+        np.matmul(xt, d_hidden, out=g_w1)
+        np.add.reduce(d_hidden, axis=-2, keepdims=True, out=g_b1)
+        np.matmul(hidden_t, outputs, out=g_w2)
+        np.add.reduce(outputs, axis=-2, keepdims=True, out=g_b2)
+        return grads
 
-
-def _backprop(w2, work):
-    """Gradients of half the summed squared error in the order (input_to_hidden,
-    hidden_bias, hidden_to_output, output_bias), written into `work.grads`,
-    which it returns, from the read-out weights `w2` and the hidden units of
-    a `_layers` pass in `work` whose outputs now hold the output errors;
-    biases keep their row axis. Zero padding rows of the hidden units and
-    errors add exact zeros."""
-    d_hidden, d_out, hidden = work.d_hidden, work.outputs, work.hidden
-    g_w1, g_b1, g_w2, g_b2 = work.grads
-    np.matmul(d_out, w2.swapaxes(-1, -2), out=d_hidden)
-    d_hidden *= hidden
-    np.subtract(1.0, hidden, out=work.slope)
-    d_hidden *= work.slope
-    np.matmul(work.xt, d_hidden, out=g_w1)
-    np.add.reduce(d_hidden, axis=-2, keepdims=True, out=g_b1)
-    np.matmul(work.hidden_t, d_out, out=g_w2)
-    np.add.reduce(d_out, axis=-2, keepdims=True, out=g_b2)
-    return work.grads
+    return layers, backprop
 
 
 def _model_pass(model: MlpModel, x):
-    """A `_layers` pass of `model` over rows `x`: its weights, biases as
-    rows, and the pass's workspace, with gradient buffers of its own."""
+    """A `_network` pass of `model` over rows `x`: its weights, biases as
+    rows, the outputs, and the pass's `backprop`, with gradient buffers of
+    its own."""
     weights = (model.input_to_hidden, model.hidden_bias[None], model.hidden_to_output,
                model.output_bias[None])
-    work = _mlp_work(x, tuple(np.empty(w.shape) for w in weights))
-    _layers(weights, work)
-    return weights, work
+    layers, backprop = _network(x, tuple(np.empty(w.shape) for w in weights))
+    return weights, layers(weights)[1], backprop
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Network outputs: linear read-out of sigmoid hidden units."""
     rows, single = as_rows(x, model.n_features)
-    outputs = _model_pass(model, rows)[1].outputs
+    outputs = _model_pass(model, rows)[1]
     return outputs[0] if single else outputs
 
 
 def mlp_loss(model: MlpModel, features, targets) -> float:
     """Half the summed squared output error over a batch."""
-    outputs = _model_pass(model, np.asarray(features, dtype=np.float64))[1].outputs
+    outputs = _model_pass(model, np.asarray(features, dtype=np.float64))[1]
     return float(0.5 * ((outputs - np.asarray(targets, dtype=np.float64)) ** 2).sum())
 
 
 def mlp_gradients(model: MlpModel, features, targets):
     """Backpropagated gradients of `mlp_loss` in the order
     (input_to_hidden, hidden_bias, hidden_to_output, output_bias)."""
-    weights, work = _model_pass(model, np.asarray(features, dtype=np.float64))
-    d_out = work.outputs
+    weights, d_out, backprop = _model_pass(model, np.asarray(features, dtype=np.float64))
     d_out -= np.asarray(targets, dtype=np.float64)
-    g_in_w, g_in_b, g_out_w, g_out_b = _backprop(weights[2], work)
+    g_in_w, g_in_b, g_out_w, g_out_b = backprop(weights[2])
     return g_in_w, g_in_b[0], g_out_w, g_out_b[0]
 
 
@@ -213,27 +190,27 @@ def fit_mlp(
     return result
 
 
-def _mlp_inputs(x, labels, counts, grads):
-    """The `_mlp_step` workspace for stacked or one train's rows and labels,
-    with the gradient buffers `grads`, and the shape of one row's squared
-    output errors."""
+def _mlp_descent(x, labels, counts, grads):
+    """The `dataset.descend_stacked` step of the network for a stack's or one
+    train's rows and labels, writing the gradients into `grads`: `step(weights,
+    squares)`, whose one forward pass writes the squared output errors of the
+    weights into `squares` and feeds their gradients; `score(squares)`, each
+    member's sum of them; and the shape of one row's squares, (c,)."""
     n_classes = grads[3].shape[-1]
     targets = np.zeros(labels.shape + (n_classes,))
     np.put_along_axis(targets, labels[..., None], 1.0, axis=-1)
     pad, groups = padding(counts, labels.shape[-1])
-    return _mlp_work(x, grads, pad, targets, groups), (n_classes,)
+    layers, backprop = _network(x, grads, pad)
 
+    def step(weights, squares):
+        _, d_out = layers(weights)
+        np.subtract(d_out, targets, out=d_out)
+        if pad is not None:
+            np.copyto(d_out, 0.0, where=pad)
+        np.square(d_out, out=squares)
+        backprop(weights[2])
 
-def _mlp_step(weights, work, squares):
-    """One epoch's array work: one forward pass scores the weights, writing
-    their squared output errors into `squares`, and feeds their gradients,
-    written into `work.grads`."""
-    _, d_out = _layers(weights, work)
-    d_out -= work.targets
-    if work.pad is not None:
-        np.copyto(d_out, 0.0, where=work.pad)
-    np.square(d_out, out=squares)
-    _backprop(weights[2], work)
+    return step, lambda squares: own_row_sums(squares, groups), (n_classes,)
 
 
 def fit_mlp_stacked(
@@ -251,9 +228,9 @@ def fit_mlp_stacked(
     gives it alone. Returns, per dataset in order, its (model, trace) or the
     ValueError its own fit raises.
     """
-    if q < 1 or epochs < 0 or learning_rate < 0 or init_scale < 0:
-        return tuple(ValueError("q must be >= 1; epochs, learning_rate, init_scale nonnegative")
-                     for _ in datasets)
+    if q < 1 or epochs < 0 or learning_rate < 0 or not 0 <= init_scale < math.inf:
+        return tuple(ValueError("q must be >= 1; epochs, learning_rate nonnegative; "
+                                "init_scale finite and nonnegative") for _ in datasets)
     p, c = shared_shape(datasets)
     counts = [ds.n_samples for ds in datasets]
     if min(p, q, *counts) == 1 and len(set(counts)) > 1:
@@ -275,10 +252,8 @@ def fit_mlp_stacked(
         starts[seed] = tuple(rng.uniform(-init_scale, init_scale, size=shape)
                              for shape in ((p, q), (1, q), (q, c), (1, c)))
     results = []
-    for sses, (w1, b1, w2, b2) in descend_stacked(
-            datasets, [starts[seed] for seed in seeds],
-            _mlp_inputs, _mlp_step, lambda squares, work: own_row_sums(squares, work.groups),
-            learning_rate, epochs, 1e-10):
+    for sses, (w1, b1, w2, b2) in descend_stacked(datasets, [starts[seed] for seed in seeds],
+                                                   _mlp_descent, learning_rate, epochs, 1e-10):
         if not math.isfinite(sses[-1]):
             results.append(ValueError(
                 f"training loss became non-finite at epoch {len(sses) - 1}"))

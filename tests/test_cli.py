@@ -509,23 +509,51 @@ def test_fit_with_a_mistyped_param_exits_1_without_traceback(tmp_path, capsys, a
     assert not (tmp_path / "m.json").exists()
 
 
+def _child(*argv):
+    """`ecobench` run with `argv` in a child process, so that a numpy warning
+    would reach stderr as it does for a user."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ecobench.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("algorithm, params, message", [
     ("lr", "learning_rate=1e308,max_iter=1", "training loss became non-finite at iteration 1"),
     ("ann", "learning_rate=1e3,epochs=50", "training loss became non-finite at epoch 33"),
 ])
 def test_fit_whose_loss_overflows_prints_one_error_line(tmp_path, algorithm, params, message):
-    # a child process, so that a numpy warning would reach stderr as it does for a user
     data = _gen(tmp_path)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "ecobench.cli", "fit", "--data", str(data), "--algorithm",
-         algorithm, "--params", params, "--out", str(tmp_path / "m.json")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = _child("fit", "--data", str(data), "--algorithm", algorithm, "--params", params,
+                  "--out", str(tmp_path / "m.json"))
     assert done.returncode == 1
     assert done.stderr == f"error: {message}\n"
+
+
+ANN_SETTINGS = ("q must be >= 1; epochs, learning_rate nonnegative; "
+                "init_scale finite and nonnegative")
+
+
+@pytest.mark.parametrize("algorithm, params, message", [
+    ("ann", "init_scale=inf", ANN_SETTINGS),
+    ("ann", "init_scale=nan", ANN_SETTINGS),
+    ("svm", "cost=nan", "cost must be a finite number > 0, got nan"),
+    ("svm", "cost=inf", "cost must be a finite number > 0, got inf"),
+    ("svm", "gamma=nan", "rbf kernel needs a finite gamma > 0, got nan"),
+    ("svm", "gamma=inf", "rbf kernel needs a finite gamma > 0, got inf"),
+    ("svm", "tol=nan", "tol must be a finite number > 0, got nan"),
+    ("svm", "tol=0", "tol must be a finite number > 0, got 0"),
+    ("svm", "tol=-1", "tol must be a finite number > 0, got -1"),
+])
+def test_fit_refuses_a_non_finite_or_nonpositive_setting_before_fitting(tmp_path, algorithm,
+                                                                        params, message):
+    data = _gen(tmp_path)
+    done = _child("fit", "--data", str(data), "--algorithm", algorithm, "--params", params,
+                  "--out", str(tmp_path / "m.json"))
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -539,13 +567,8 @@ def test_fit_whose_loss_overflows_prints_one_error_line(tmp_path, algorithm, par
     (["gen-data", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
 ])
 def test_synthetic_table_rejects_a_bad_field_in_one_error_line(tmp_path, argv, message):
-    # a child process, so that a numpy warning would reach stderr as it does for a user
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = tmp_path / "out"
-    done = subprocess.run([sys.executable, "-m", "ecobench.cli", *argv, "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _child(*argv, "--out", str(out))
     assert done.returncode == 1
     assert done.stderr == f"error: {message}\n"
     assert not out.exists()

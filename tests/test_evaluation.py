@@ -1,6 +1,8 @@
 """Benchmark harness: process protocols, seeding, and report assembly."""
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +53,28 @@ def test_parse_algorithms_returns_canonical_order():
         parse_algorithms("dt,xx")
     with pytest.raises(ValueError, match="drawn from"):
         parse_algorithms("  ")
+
+
+@pytest.mark.parametrize("name, params, names", [
+    ("ANN", {"init_scale": math.inf}, "init_scale"),
+    ("ANN", {"init_scale": math.nan}, "init_scale"),
+    ("SVM", {"cost": math.nan}, "cost"),
+    ("SVM", {"cost": math.inf}, "cost"),
+    ("SVM", {"gamma": math.nan}, "gamma"),
+    ("SVM", {"gamma": math.inf}, "gamma"),
+    ("SVM", {"tol": math.nan}, "tol"),
+    ("SVM", {"tol": 0.0}, "tol"),
+    ("SVM", {"tol": -1.0}, "tol"),
+])
+def test_a_non_finite_or_nonpositive_setting_gives_error_rows(name, params, names):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_benchmark(_eco(), algorithms=(make_algorithm(name, **params),),
+                               master_seed=42)
+    assert caught == []
+    assert len(report.rows) == len(PROCESS_ORDER)
+    for row in report.rows:
+        assert not row.ok and names in row.error
 
 
 def test_parse_processes_returns_table_order():

@@ -45,13 +45,8 @@ from ecobench import (
 from ecobench import cli, dataset, evaluation, linear_prob, neural
 from ecobench.dataset import BLOCK_STEPS, padding, stack_datasets
 from ecobench.evaluation import CELL_ERRORS, AlgorithmAdapter, algorithm_adapter
-from ecobench.linear_prob import (
-    _logistic_inputs,
-    _logistic_kernel,
-    _logistic_step,
-    fit_logistic_stacked,
-)
-from ecobench.neural import _backprop, _layers, _mlp_work, fit_mlp_stacked
+from ecobench.linear_prob import _logistic_descent, fit_logistic_stacked
+from ecobench.neural import _network, fit_mlp_stacked
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -601,6 +596,16 @@ def _kernel_tables():
     return [_table(seed, n, 3, 3) for seed, n in ((1, 30), (2, 22), (3, 9))]
 
 
+def _logistic_at(w, features, labels, counts):
+    """Per member mean cross-entropy and the gradient at the weights `w`:
+    one `_logistic_descent` step, scored."""
+    grad = np.empty(w.shape)
+    step, score, _ = _logistic_descent(features, labels, counts, (grad,))
+    picks = np.empty(labels.shape)
+    step((w,), picks)
+    return score(picks[None])[0], grad
+
+
 def test_logistic_kernel_padding_keeps_an_infinite_intercept_to_its_member():
     # a -inf intercept leaves member 1's loss finite, but its zero padding
     # rows score 0 * -inf = NaN; the NaN must reach neither member 1's
@@ -611,15 +616,15 @@ def test_logistic_kernel_padding_keeps_an_infinite_intercept_to_its_member():
     w[:, -1] = 0.0
     w[1, 0, 0] = -np.inf
     features, labels, counts = stack_datasets(tables)
-    inputs = _logistic_inputs(features, labels, counts, np.empty(w.shape))
+    design = np.concatenate([np.ones(labels.shape + (1,)), features], axis=2)
+    np.copyto(design, 0.0, where=padding(counts, labels.shape[1])[0])
     with _quiet():
-        assert np.isnan(inputs.design[1] @ w[1].T).any()
-        losses, grad = _logistic_kernel(w, inputs)
+        assert np.isnan(design[1] @ w[1].T).any()
+        losses, grad = _logistic_at(w, features, labels, counts)
     for i, table in enumerate(tables):
-        alone = _logistic_inputs(table.features[None], table.labels[None], [table.n_samples],
-                                 np.empty((1,) + w.shape[1:]))
         with _quiet():
-            (loss,), lone_grad = _logistic_kernel(w[i][None], alone)
+            (loss,), lone_grad = _logistic_at(w[i][None], table.features[None],
+                                              table.labels[None], [table.n_samples])
         assert np.isfinite(loss) and np.isfinite(lone_grad).all()
         assert np.float64(losses[i]).tobytes() == np.float64(loss).tobytes()
         assert grad[i].tobytes() == lone_grad[0].tobytes()
@@ -639,19 +644,19 @@ def test_mlp_kernel_padding_keeps_an_infinite_input_weight_to_its_member():
     np.put_along_axis(targets, labels[:, :, None], 1.0, axis=2)
     pad = np.arange(30)[None, :, None] >= np.array(counts)[:, None, None]
     with _quiet():
-        work = _mlp_work(x, _buffers(w1, b1, w2, b2), pad)
-        hidden, d_out = _layers((w1, b1, w2, b2), work)
+        layers, backprop = _network(x, _buffers(w1, b1, w2, b2), pad)
+        hidden, d_out = layers((w1, b1, w2, b2))
         d_out -= targets
         np.copyto(d_out, 0.0, where=pad)
-        grads = _backprop(w2, work)
+        grads = backprop(w2)
     for i, table in enumerate(tables):
         n = table.n_samples
         weights = (w1[i], b1[i], w2[i], b2[i])
         with _quiet():
-            lone = _mlp_work(table.features, _buffers(*weights))
-            lone_hidden, lone_d_out = _layers(weights, lone)
+            lone_layers, lone_backprop = _network(table.features, _buffers(*weights))
+            lone_hidden, lone_d_out = lone_layers(weights)
             lone_d_out -= targets[i, :n]
-            lone_grads = _backprop(w2[i], lone)
+            lone_grads = lone_backprop(w2[i])
         assert np.isfinite(lone_d_out).all()
         assert hidden[i, :n].tobytes() == lone_hidden.tobytes()
         assert d_out[i, :n].tobytes() == lone_d_out.tobytes()
@@ -734,15 +739,19 @@ def _per_step_logistic(datasets, learning_rate=0.1, max_iter=5000, tolerance=1e-
     live = sorted(range(len(datasets)), key=lambda j: -datasets[j].n_samples)
     features, labels, counts = stack_datasets([datasets[j] for j in live])
     c, p = datasets[0].n_classes, features.shape[2]
+
+    def descent(features, labels, counts):
+        grad = np.empty((len(counts), c, p + 1))
+        return _logistic_descent(features, labels, counts, (grad,))[0], grad
+
     w = np.zeros((len(live), c, p + 1))
-    inputs = _logistic_inputs(features, labels, counts, np.empty(w.shape))
+    step, grad = descent(features, labels, counts)
     results = [None] * len(datasets)
     histories = [[] for _ in live]
     prev = [math.inf] * len(live)
     for it in range(max_iter + 1):
         picks = np.empty(labels.shape)
-        _logistic_step(w, inputs, picks)
-        grad = inputs.grad
+        step((w,), picks)
         losses = [-(float(np.log(picks[pos, :n] + 1e-300).sum()) / n)
                   for pos, n in enumerate(counts)]
         keep = []
@@ -763,9 +772,9 @@ def _per_step_logistic(datasets, learning_rate=0.1, max_iter=5000, tolerance=1e-
         histories = [histories[pos] for pos in keep]
         losses = [losses[pos] for pos in keep]
         counts = [counts[pos] for pos in keep]
-        w, grad, features, labels = w[keep], grad[keep], features[keep], labels[keep]
-        inputs = _logistic_inputs(features, labels, counts, np.empty(w.shape))
-        w = w - learning_rate * grad
+        w, features, labels = w[keep], features[keep], labels[keep]
+        w = w - learning_rate * grad[keep]
+        step, grad = descent(features, labels, counts)
         prev = losses
     return results
 
@@ -801,8 +810,8 @@ def _per_step_mlp(datasets, seeds, q=5, epochs=2000, learning_rate=0.01, init_sc
     prev = [math.inf] * k
     traces = [[] for _ in live]
     for epoch in range(epochs + 1):
-        work = _mlp_work(x, _buffers(w1, b1, w2, b2), pad)
-        hidden, d_out = _layers((w1, b1, w2, b2), work)
+        layers, backprop = _network(x, _buffers(w1, b1, w2, b2), pad)
+        hidden, d_out = layers((w1, b1, w2, b2))
         d_out -= targets
         if pad is not None:
             np.copyto(d_out, 0.0, where=pad)
@@ -838,10 +847,13 @@ def _per_step_mlp(datasets, seeds, q=5, epochs=2000, learning_rate=0.01, init_sc
             w1, b1, w2, b2, x, targets, hidden, d_out = (
                 arr[keep] for arr in (w1, b1, w2, b2, x, targets, hidden, d_out))
             pad = padding(counts, n)[0]
-            work = _mlp_work(x, _buffers(w1, b1, w2, b2), pad)
-            work.hidden[...], work.outputs[...] = hidden, d_out
+            layers, backprop = _network(x, _buffers(w1, b1, w2, b2), pad)
+            # backprop reads the last pass's hidden units and errors: run one
+            # pass on the kept weights, then put the kept members' back
+            for buffer, kept in zip(layers((w1, b1, w2, b2)), (hidden, d_out)):
+                buffer[...] = kept
         prev = sses
-        grads = _backprop(w2, work)
+        grads = backprop(w2)
         w1, b1, w2, b2 = (w - learning_rate * g for w, g in zip((w1, b1, w2, b2), grads))
     return results
 
