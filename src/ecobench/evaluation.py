@@ -134,14 +134,11 @@ def parse_algorithms(text: str):
 
 def _fit_svm(train: Dataset, seed: int, params: dict):
     params = dict(params)
-    kind = params.pop("kernel", None)
+    kind = params.pop("kernel", "rbf")
     gamma = params.pop("gamma", None)
-    if kind is not None or gamma is not None:
-        kind = kind or "rbf"
-        if kind == "rbf" and gamma is None:
-            gamma = default_gamma(train.n_features)
-        params["kernel"] = KernelSpec(kind, gamma if kind == "rbf" else None)
-    return fit_svm_multiclass(train, **params)
+    if kind == "rbf" and gamma is None:
+        gamma = default_gamma(train.n_features)
+    return fit_svm_multiclass(train, kernel=KernelSpec(kind, gamma), **params)
 
 
 # The errors a cell reports as an error row; anything else is a fault in the program.

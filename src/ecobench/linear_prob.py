@@ -358,9 +358,9 @@ def fit_logistic_stacked(
         if ds.n_samples < ds.n_classes:
             results.append(ValueError(
                 f"need at least as many samples as classes, got n={ds.n_samples}"))
-        elif learning_rate <= 0 or max_iter < 0 or tolerance < 0:
-            results.append(ValueError(
-                "learning_rate must be positive, max_iter and tolerance nonnegative"))
+        elif not (0 < learning_rate < math.inf and max_iter >= 0 and 0 <= tolerance < math.inf):
+            results.append(ValueError("learning_rate must be finite and positive, max_iter "
+                                      "nonnegative, tolerance finite and nonnegative"))
         else:
             results.append(None)
     live = [j for j, result in enumerate(results) if result is None]

@@ -131,45 +131,47 @@ def fit_svm_binary(
         max_iter = int(1e4) * n
 
     y = np.where(labels == 0, 1.0, -1.0)
+    positive = y > 0
     k = kernel_matrix(kernel, x, x)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
 
+    def working_set():
+        """-y * grad and the masks of the rows whose y * alpha may still rise
+        ("up") or fall ("low") inside the box [0, cost]."""
+        return (-y * grad, np.where(positive, alpha < cost, alpha > 0),
+                np.where(positive, alpha > 0, alpha < cost))
+
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        neg_yg = -y * grad
-        up = ((y > 0) & (alpha < cost)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < cost)) | ((y > 0) & (alpha > 0))
+    while iterations < max_iter:
+        neg_yg, up, low = working_set()
         if not up.any() or not low.any():
-            iterations -= 1
             break
         i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
         j = int(np.argmin(np.where(low, neg_yg, np.inf)))
         violation = neg_yg[i] - neg_yg[j]
         if violation < tol:
-            iterations -= 1
             break
         curvature = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
         step = violation / curvature
-        step_i_max = cost - alpha[i] if y[i] > 0 else alpha[i]
-        step_j_max = alpha[j] if y[j] > 0 else cost - alpha[j]
+        step_i_max = cost - alpha[i] if positive[i] else alpha[i]
+        step_j_max = alpha[j] if positive[j] else cost - alpha[j]
         step = min(step, step_i_max, step_j_max)
         # land exactly on a box face when the step is clipped there
         if step == step_i_max:
-            alpha[i] = cost if y[i] > 0 else 0.0
+            alpha[i] = cost if positive[i] else 0.0
         else:
             alpha[i] += y[i] * step
         if step == step_j_max:
-            alpha[j] = 0.0 if y[j] > 0 else cost
+            alpha[j] = 0.0 if positive[j] else cost
         else:
             alpha[j] -= y[j] * step
         grad += y * step * (k[:, i] - k[:, j])
+        iterations += 1
 
     # fresh gradient for the bias and the reported residual
     grad = y * (k @ (alpha * y)) - 1.0
-    neg_yg = -y * grad
-    up = ((y > 0) & (alpha < cost)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < cost)) | ((y > 0) & (alpha > 0))
+    neg_yg, up, low = working_set()
     m_up = float(np.max(neg_yg[up])) if up.any() else float(np.max(neg_yg))
     m_low = float(np.min(neg_yg[low])) if low.any() else float(np.min(neg_yg))
     residual = max(m_up - m_low, 0.0)
@@ -280,14 +282,9 @@ def predict_svm(model: SvmMulticlassModel, x):
         winner = np.where(value >= 0, a, b)
         wins[at, winner] += 1
         magnitude[at, winner] += np.abs(value)
-    # a class replaces the best so far only if (wins, magnitude) is strictly greater
-    best = np.zeros(rows.shape[0], dtype=np.int64)
-    for candidate in range(1, model.n_classes):
-        top_wins, top_magnitude = wins[at, best], magnitude[at, best]
-        better = (wins[:, candidate] > top_wins) | (
-            (wins[:, candidate] == top_wins) & (magnitude[:, candidate] > top_magnitude)
-        )
-        best[better] = candidate
+    # the largest magnitude among the classes with the most wins; argmax keeps the first
+    most = wins == wins.max(axis=1, keepdims=True)
+    best = np.argmax(np.where(most, magnitude, -np.inf), axis=1)
     return int(best[0]) if single else best
 
 

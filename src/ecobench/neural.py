@@ -228,8 +228,8 @@ def fit_mlp_stacked(
     gives it alone. Returns, per dataset in order, its (model, trace) or the
     ValueError its own fit raises.
     """
-    if q < 1 or epochs < 0 or learning_rate < 0 or not 0 <= init_scale < math.inf:
-        return tuple(ValueError("q must be >= 1; epochs, learning_rate nonnegative; "
+    if q < 1 or epochs < 0 or not (0 <= learning_rate < math.inf and 0 <= init_scale < math.inf):
+        return tuple(ValueError("q must be >= 1; epochs nonnegative; learning_rate and "
                                 "init_scale finite and nonnegative") for _ in datasets)
     p, c = shared_shape(datasets)
     counts = [ds.n_samples for ds in datasets]

@@ -95,11 +95,7 @@ def _checked_nodes(model, roots: np.ndarray) -> None:
             raise ValueError(f"{name}: expected shape {shape} for {n} nodes, got {array.shape}")
     split = np.flatnonzero(left != -1)
     children = left[split]
-    if roots.size > 1:
-        ends = np.append(roots[1:], n)
-        end = ends[np.searchsorted(roots, split, side="right") - 1]
-    else:
-        end = n
+    end = np.append(roots[1:], n)[np.searchsorted(roots, split, side="right") - 1]
     bad = (children <= split) | (children + 1 >= end)
     if bad.any():
         at = split[bad.argmax()]

@@ -531,13 +531,19 @@ def test_fit_whose_loss_overflows_prints_one_error_line(tmp_path, algorithm, par
     assert done.stderr == f"error: {message}\n"
 
 
-ANN_SETTINGS = ("q must be >= 1; epochs, learning_rate nonnegative; "
+ANN_SETTINGS = ("q must be >= 1; epochs nonnegative; learning_rate and "
                 "init_scale finite and nonnegative")
+LR_SETTINGS = ("learning_rate must be finite and positive, max_iter nonnegative, "
+               "tolerance finite and nonnegative")
 
 
 @pytest.mark.parametrize("algorithm, params, message", [
     ("ann", "init_scale=inf", ANN_SETTINGS),
     ("ann", "init_scale=nan", ANN_SETTINGS),
+    ("ann", "learning_rate=nan", ANN_SETTINGS),
+    ("ann", "learning_rate=inf", ANN_SETTINGS),
+    ("lr", "learning_rate=nan", LR_SETTINGS),
+    ("lr", "tolerance=nan,max_iter=50", LR_SETTINGS),
     ("svm", "cost=nan", "cost must be a finite number > 0, got nan"),
     ("svm", "cost=inf", "cost must be a finite number > 0, got inf"),
     ("svm", "gamma=nan", "rbf kernel needs a finite gamma > 0, got nan"),
@@ -545,6 +551,7 @@ ANN_SETTINGS = ("q must be >= 1; epochs, learning_rate nonnegative; "
     ("svm", "tol=nan", "tol must be a finite number > 0, got nan"),
     ("svm", "tol=0", "tol must be a finite number > 0, got 0"),
     ("svm", "tol=-1", "tol must be a finite number > 0, got -1"),
+    ("svm", "kernel=linear,gamma=1", "linear kernel takes no gamma"),
 ])
 def test_fit_refuses_a_non_finite_or_nonpositive_setting_before_fitting(tmp_path, algorithm,
                                                                         params, message):

@@ -1,5 +1,6 @@
 """Benchmark harness: process protocols, seeding, and report assembly."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -374,3 +375,16 @@ def test_scaling_columns_by_powers_of_two_keeps_every_label(table, master_seed):
     assert set(before) == set(_SCALED_COLUMN_RELATIONS)
     for name in ALGORITHM_ORDER:
         assert after[name] == before[name], (name, _SCALED_COLUMN_RELATIONS[name])
+
+
+def test_renaming_classes_in_the_same_order_keeps_every_row():
+    ds = _eco()
+    assert ds.class_names == ("C", "G", "S")
+    renamed = Dataset(ds.features, ds.labels, ds.feature_names, ("x", "y", "z"))
+    before, after = run_benchmark(ds, master_seed=42), run_benchmark(renamed, master_seed=42)
+    assert len(before.rows) == 24
+    # every row but its timing: measures, aggregates and errors alike
+    assert ([dataclasses.replace(row, wall_ms=0.0) for row in after.rows]
+            == [dataclasses.replace(row, wall_ms=0.0) for row in before.rows])
+    assert after.dataset_summary == {**before.dataset_summary,
+                                     "class_counts": {"x": 10, "y": 10, "z": 10}}
