@@ -9,6 +9,9 @@ split or fold plan for one process is shared by all algorithms.
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
+import signal
 import time
 import typing
 from dataclasses import dataclass, field
@@ -174,7 +177,9 @@ class AlgorithmAdapter:
                 except CELL_ERRORS as exc:
                     yield exc
             return
-        yield from self.fit_stacked(tuple(trains), tuple(seeds), params)
+        trains = tuple(trains)
+        if trains:  # a stacked fit needs at least one train
+            yield from self.fit_stacked(trains, tuple(seeds), params)
 
 
 _REGISTRY = {
@@ -311,24 +316,34 @@ def _process_pairs(ds: Dataset, kind: ProcessKind, split_seed: int):
     return ready, None
 
 
-def _run_cells(ds: Dataset, algorithm: AlgorithmSpec, cells) -> list[ReportRow]:
+def _cell_trains(cells):
+    """The trains of every pair of `cells`, in order, each with its cell's seed."""
+    trains = [train for _, _, (ready, _) in cells for (train, _), _ in ready]
+    seeds = [seed for _, seed, (ready, _) in cells for _ in ready]
+    return trains, seeds
+
+
+def _run_cells(ds: Dataset, algorithm: AlgorithmSpec, cells, fitted=None) -> list[ReportRow]:
     """One algorithm's rows for `cells`, a list of (kind, seed, `_process_pairs`
     result). The trains of every cell go through one `fit_folds` call, each
     with its cell's seed, and each pair is scored as its model arrives. A
     cell's error is the one a pair-by-pair run (standardize, fit, predict)
     meets first; pairs after one that cannot be standardized are never fit,
     and those after a failed pair are fit but not scored. Failures come back
-    as error rows, so a sweep can continue.
+    as error rows, so a sweep can continue. `fitted`, when given, is that
+    `fit_folds` call made elsewhere: its results and the seconds it took.
 
     A cell's `wall_ms` is the time of its own pairs and score; the time of a
     stacked fit, which fits every cell's trains at once, is shared among the
     cells by their number of trains.
     """
     adapter = algorithm_adapter(algorithm.name)
-    trains = [train for _, _, (ready, _) in cells for (train, _), _ in ready]
-    seeds = [seed for _, seed, (ready, _) in cells for _ in ready]
-    fitted = adapter.fit_folds(trains, seeds, algorithm.param_dict())
-    outcomes, stacked_s = [], 0.0
+    trains, seeds = _cell_trains(cells)
+    if fitted is None:
+        fitted, stacked_s = adapter.fit_folds(trains, seeds, algorithm.param_dict()), 0.0
+    else:
+        fitted, stacked_s = iter(fitted[0]), fitted[1]
+    outcomes = []
     for kind, seed, (ready, stop) in cells:
         start, fit_s = time.perf_counter(), 0.0
         error, actual, predicted = None, [], []
@@ -373,6 +388,61 @@ def _run_cells(ds: Dataset, algorithm: AlgorithmSpec, cells) -> list[ReportRow]:
     return rows
 
 
+class _FitWorker:
+    """One algorithm's `fit_folds` over `_cell_trains(cells)`, run in a
+    forked child while the parent runs other cells. The child sends its
+    results and the seconds its fit took, or the exception it raised, pickled
+    through a pipe, and leaves with `os._exit`. `result` waits for them and
+    reaps the child; `stop` kills and reaps a child `result` has not."""
+
+    def __init__(self, algorithm: AlgorithmSpec, cells):
+        self.name = algorithm.name
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker: it leaves only through os._exit
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    start = time.perf_counter()
+                    models = list(algorithm_adapter(self.name).fit_folds(
+                        *_cell_trains(cells), algorithm.param_dict()))
+                    payload = models, time.perf_counter() - start
+                except BaseException as exc:
+                    payload = exc
+                with open(write, "wb") as pipe:
+                    pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def result(self):
+        """(results, fit seconds), as `_run_cells` takes `fitted`; the
+        worker's exception, re-raised; or a RuntimeError if it sent neither."""
+        try:
+            payload = pickle.load(self.pipe)  # streamed, never held as bytes too
+        except (EOFError, pickle.UnpicklingError):
+            payload = None
+        self.pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if payload is None:
+            raise RuntimeError(f"the {self.name} fit worker exited with status {status} "
+                               f"without sending its models")
+        if isinstance(payload, BaseException):
+            raise payload
+        return payload
+
+    def stop(self):
+        if self.pid is not None:
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_process(
     ds: Dataset,
     algorithm: AlgorithmSpec,
@@ -398,7 +468,10 @@ def run_benchmark(
 
     Each process's pairs are split and standardized once for all algorithms,
     and each algorithm fits the trains of every process in one `fit_folds`
-    call, so LR and ANN run one gradient loop per grid.
+    call, so LR and ANN run one gradient loop per grid. Each such stacked fit
+    runs in a forked worker, started before any cell, while this process runs
+    the other algorithms' cells (in this process where `os` has no `fork`); a
+    cell's numbers do not change.
     """
     if algorithms is None:
         algorithms = tuple(AlgorithmSpec(name) for name in ALGORITHM_ORDER)
@@ -410,11 +483,20 @@ def run_benchmark(
         raise ValueError("need at least one algorithm and one process")
     prepared = [(kind, _process_pairs(ds, kind, derive_seed(master_seed, "split", kind.name)))
                 for kind in processes]
-    by_algorithm = [
-        _run_cells(ds, algorithm, [(kind, derive_seed(master_seed, algorithm.name, kind.name),
-                                    pairs) for kind, pairs in prepared])
-        for algorithm in algorithms
-    ]
+    cells = [[(kind, derive_seed(master_seed, algorithm.name, kind.name), pairs)
+              for kind, pairs in prepared] for algorithm in algorithms]
+    workers = []
+    try:
+        for algorithm, own in zip(algorithms, cells):
+            stacked = algorithm_adapter(algorithm.name).fit_stacked is not None
+            workers.append(_FitWorker(algorithm, own) if stacked and hasattr(os, "fork")
+                           else None)
+        by_algorithm = [_run_cells(ds, algorithm, own, worker.result() if worker else None)
+                        for algorithm, own, worker in zip(algorithms, cells, workers)]
+    finally:
+        for worker in workers:
+            if worker is not None:
+                worker.stop()
     rows = [row for process_rows in zip(*by_algorithm) for row in process_rows]
     counts = ds.class_counts()
     summary = {

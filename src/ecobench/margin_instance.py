@@ -270,15 +270,21 @@ def fit_svm_multiclass(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_svm(model: SvmMulticlassModel, x):
     """Most pairwise wins; ties fall to summed decision magnitudes, added in
-    machine order, then to the lowest class index."""
+    machine order, then to the lowest class index. A ValueError when a
+    decision value is not finite (the kernel overflows on rows far out)."""
     rows, single = as_rows(x, model.n_features)
     at = np.arange(rows.shape[0])
     wins = np.zeros((rows.shape[0], model.n_classes))
     magnitude = np.zeros((rows.shape[0], model.n_classes))
     for machine, (a, b) in zip(model.machines, model.class_pairs):
         value = svm_decision_value(machine, rows)
+        if not np.isfinite(value).all():
+            raise ValueError(f"decision values of the {model.class_names[a]}/"
+                             f"{model.class_names[b]} machine are not finite: "
+                             f"the kernel overflows on these rows")
         winner = np.where(value >= 0, a, b)
         wins[at, winner] += 1
         magnitude[at, winner] += np.abs(value)

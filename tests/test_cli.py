@@ -531,6 +531,26 @@ def test_fit_whose_loss_overflows_prints_one_error_line(tmp_path, algorithm, par
     assert done.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("params", ["kernel=linear", "kernel=rbf"])
+def test_svm_predict_on_rows_far_out_prints_one_error_line(tmp_path, params):
+    # every decision value of a row of 1.7e308s is NaN; it used to exit 0
+    # with a label voted from them
+    data, model = _gen(tmp_path), tmp_path / "svm.json"
+    assert entry(["fit", "--data", str(data), "--algorithm", "svm", "--params", params,
+                  "--out", str(model)]) == 0
+    header = data.read_text(encoding="utf-8").splitlines()[0].split(",")[:-1]
+    rows = tmp_path / "far.csv"
+    rows.write_text(",".join(header) + "\n" + ",".join(["1.7e308"] * len(header)) + "\n",
+                    encoding="utf-8")
+    done = _child("predict", "--model", str(model), "--data", str(rows))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+        "error: decision values of the C/G machine are not finite: "
+        "the kernel overflows on these rows"]
+    assert "Traceback" not in done.stderr
+
+
 ANN_SETTINGS = ("q must be >= 1; epochs nonnegative; learning_rate and "
                 "init_scale finite and nonnegative")
 LR_SETTINGS = ("learning_rate must be finite and positive, max_iter nonnegative, "

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -388,3 +390,88 @@ def test_renaming_classes_in_the_same_order_keeps_every_row():
             == [dataclasses.replace(row, wall_ms=0.0) for row in before.rows])
     assert after.dataset_summary == {**before.dataset_summary,
                                      "class_counts": {"x": 10, "y": 10, "z": 10}}
+
+
+# The stacked fits (LR, ANN) of `run_benchmark` run in forked workers.
+
+def _timeless(report):
+    """Every row but its timing, as text, so that bits (and NaNs) compare."""
+    return [repr(dataclasses.replace(row, wall_ms=0.0)) for row in report.rows]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # neither running nor a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 42])
+@pytest.mark.parametrize("processes", ["I,II,III", "III", "I,II"])
+def test_reports_without_fork_equal_forked_reports(monkeypatch, master_seed, processes):
+    ds = _eco(master_seed)
+    algorithms = (
+        *parse_algorithms("DT,KNN,NB"),
+        make_algorithm("ANN", epochs=300),
+        make_algorithm("LR", max_iter=400),
+        make_algorithm("ANN", learning_rate=1e3, epochs=50),  # diverges: error rows
+        make_algorithm("LR", learning_rate=1e308, max_iter=1),  # as does this
+    )
+    kinds = parse_processes(processes)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked = run_benchmark(ds, algorithms, kinds, master_seed=master_seed)
+    assert len(forks) == 4  # one worker per stacked algorithm
+    monkeypatch.delattr(os, "fork")
+    alone = run_benchmark(ds, algorithms, kinds, master_seed=master_seed)
+    assert _timeless(forked) == _timeless(alone)
+    assert [row.ok for row in forked.rows].count(False) == 2 * len(kinds)
+    assert all(row.wall_ms > 0.0 for row in forked.rows)
+    _assert_no_child_left()
+
+
+def test_a_workers_exception_reaches_the_caller_unchanged(monkeypatch):
+    def fit(*args, **kwargs):
+        raise TypeError("a fault in the stacked fit")
+
+    monkeypatch.setattr(evaluation, "fit_logistic_stacked", fit)
+    with pytest.raises(TypeError, match=r"^a fault in the stacked fit$") as caught:
+        run_benchmark(_eco(), master_seed=42)
+    assert type(caught.value) is TypeError
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_its_models_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(evaluation, "fit_mlp_stacked", lambda *args, **kwargs: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"^the ANN fit worker exited with status 3 "
+                                           r"without sending its models$"):
+        run_benchmark(_eco(), master_seed=42)
+    _assert_no_child_left()  # the LR worker, still fitting, is killed and reaped
+
+
+def test_a_fault_in_the_parents_cells_reaps_the_running_workers(monkeypatch):
+    def fit(*args, **kwargs):
+        raise TypeError("a fault in the tree fit")
+
+    monkeypatch.setattr(evaluation, "fit_decision_tree", fit)
+    with pytest.raises(TypeError, match="a fault in the tree fit"):
+        run_benchmark(_eco(), master_seed=42)  # DT runs first, while LR and ANN fit
+    _assert_no_child_left()
+
+
+def test_a_stacked_cells_wall_ms_is_the_workers_fit_time_not_the_wait(monkeypatch):
+    fit_tree, fit_stacked = evaluation.fit_decision_tree, evaluation.fit_logistic_stacked
+
+    def slow(fit, seconds):
+        def call(*args, **kwargs):
+            time.sleep(seconds)
+            return fit(*args, **kwargs)
+        return call
+
+    # the parent's DT cell outlasts the worker's LR fit, so LR's result is
+    # there when the parent asks for it: its wait is near 0, its fit 0.3 s
+    monkeypatch.setattr(evaluation, "fit_decision_tree", slow(fit_tree, 0.6))
+    monkeypatch.setattr(evaluation, "fit_logistic_stacked", slow(fit_stacked, 0.3))
+    report = run_benchmark(_eco(), parse_algorithms("DT,LR"), parse_processes("I"))
+    assert report.get("DT", "I").wall_ms >= 600.0
+    assert report.get("LR", "I").wall_ms >= 300.0
+    _assert_no_child_left()

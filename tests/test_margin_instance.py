@@ -256,6 +256,20 @@ def test_multiclass_accepts_kernel_override():
     assert "Gamma" not in describe_svm(model)
 
 
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"), None])
+def test_predict_svm_names_decision_values_that_are_not_finite(kernel):
+    # the linear kernel's products overflow to inf and add to NaN, and the
+    # radial kernel's squared distances read inf - inf; both used to vote
+    ds = generate_ecological(SyntheticSpec(seed=3))
+    model = fit_svm_multiclass(ds, kernel=kernel)
+    rows = np.vstack([ds.features[:2], np.full(ds.n_features, 1.7e308)])
+    assert predict_svm(model, rows[:2]).tolist() == [predict_svm(model, x) for x in rows[:2]]
+    for far in (rows, rows[2]):
+        with pytest.raises(ValueError, match=r"^decision values of the C/G machine are "
+                                             r"not finite: the kernel overflows"):
+            predict_svm(model, far)
+
+
 # ---------------------------------------------------------------- k-NN
 
 

@@ -720,12 +720,21 @@ def test_run_benchmark_keeps_each_cells_error_rule():
 
 
 def test_default_bench_runs_one_loop_per_stacked_algorithm(tmp_path, monkeypatch):
-    calls = []
+    # the stacked fits run in forked workers, so each call is logged to a file
+    log = tmp_path / "calls.txt"
+    log.touch()
+
+    def spy(fn, name):
+        def call(*args, **kw):
+            with open(log, "a", encoding="utf-8") as calls:
+                calls.write(name + "\n")
+            return fn(*args, **kw)
+        return call
+
     for name in ("fit_logistic_stacked", "fit_mlp_stacked", "fit_logistic", "fit_mlp"):
-        fn = getattr(evaluation, name)
-        monkeypatch.setattr(evaluation, name,
-                            lambda *args, fn=fn, name=name, **kw: calls.append(name) or fn(*args, **kw))
+        monkeypatch.setattr(evaluation, name, spy(getattr(evaluation, name), name))
     assert cli.entry(["bench", "--synthetic", "--out", str(tmp_path / "r.json")]) == 0
+    calls = log.read_text(encoding="utf-8").split()
     assert sorted(calls) == ["fit_logistic_stacked", "fit_mlp_stacked"]
 
 
